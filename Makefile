@@ -35,9 +35,9 @@ bench-parallel:
 	$(GO) test -run '^$$' -bench 'BenchmarkGameSolveParallel' -benchmem .
 
 # Regenerate the numbers behind BENCH_hotpath.json: the reusable-workspace
-# solve vs the allocating baseline, and the active-set on/off pair.
+# solve vs the allocating baseline.
 bench-hotpath:
-	$(GO) test -run '^$$' -bench 'BenchmarkGameSolveParallel1$$|BenchmarkGameSolveWorkspace$$|BenchmarkGameSolveActiveSet' -benchmem -benchtime 1s .
+	$(GO) test -run '^$$' -bench 'BenchmarkGameSolveParallel1$$|BenchmarkGameSolveWorkspace$$' -benchmem -benchtime 1s .
 
 # Observability overhead guard: events-on vs events-off on the parallel game
 # solve; fails above the DESIGN.md §9 budget and regenerates

@@ -202,7 +202,7 @@ func BenchmarkGameSolveParallel8(b *testing.B) { benchmarkGameSolveParallel(b, 8
 // BenchmarkGameSolveWorkspace is the workspace counterpart of Parallel1: the
 // exact same 24-customer block-Jacobi solve, but through game.SolveWS with a
 // workspace reused across iterations — the engine's steady-state shape. The
-// contract (enforced by TestSolveWSActiveTolZeroIdentity) is bitwise-identical
+// contract (enforced by TestSolveWSWorkspaceIdentity) is bitwise-identical
 // results; the payoff measured here is allocations. Record alongside the
 // Parallel baselines in BENCH_hotpath.json; a ≥ 5× allocs/op reduction vs
 // Parallel1 is the expected steady state.
@@ -222,31 +222,6 @@ func BenchmarkGameSolveWorkspace(b *testing.B) {
 		}
 	}
 }
-
-// benchmarkGameSolveActiveSet measures the residual-gated sweep on the
-// deterministic no-net-metering model (the regime where customers actually go
-// stationary — see DESIGN.md §10) with a generous sweep budget, gated vs
-// ungated. The off variant is the honest baseline: identical config except
-// ActiveTol=0.
-func benchmarkGameSolveActiveSet(b *testing.B, tol float64) {
-	customers, _ := benchCommunity(b, 24)
-	q, _ := tariff.NewQuadratic(1.5)
-	cfg := game.DefaultConfig(q, false)
-	cfg.MaxSweeps = 4
-	cfg.Tol = 1e-12
-	cfg.ActiveTol = tol
-	price := benchPrice()
-	ws := game.NewWorkspace()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := game.SolveWS(context.Background(), ws, customers, price, nil, cfg, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGameSolveActiveSet(b *testing.B)    { benchmarkGameSolveActiveSet(b, 0.05) }
-func BenchmarkGameSolveActiveSetOff(b *testing.B) { benchmarkGameSolveActiveSet(b, 0) }
 
 // --- Paper-scale curve (BENCH_scale.json) --------------------------------
 
@@ -663,19 +638,6 @@ func BenchmarkSVRTrainLSSVM(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := svr.TrainLSSVM(x, y, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSVRTrainEpsSVR measures the SMO-trained ε-SVR alternative.
-func BenchmarkSVRTrainEpsSVR(b *testing.B) {
-	x, y := benchTrainingSet(150)
-	opts := svr.DefaultEpsSVROptions()
-	opts.MaxSweeps = 60
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := svr.TrainEpsSVR(x, y, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

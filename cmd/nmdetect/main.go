@@ -73,7 +73,6 @@ func main() {
 		sweeps   = flag.Int("sweeps", 3, "game best-response sweeps")
 		workers  = flag.Int("workers", 0, "worker budget (0 = all cores, 1 = sequential)")
 		jacobi   = flag.Int("jacobi", 0, "game block-Jacobi size (0 = sequential Gauss-Seidel)")
-		activeT  = flag.Float64("active-tol", 0, "game active-set tolerance in kW (0 = re-solve every customer every sweep)")
 		shards   = flag.Int("shards", 0, "hierarchical-solve shard count (<= 1 = flat solver, the reference semantics)")
 		boot     = flag.Int("boot", 6, "bootstrap days")
 		detector = flag.String("detector", "aware", "aware|blind")
@@ -111,7 +110,6 @@ func main() {
 	spec.Game.Sweeps = *sweeps
 	spec.Game.Workers = *workers
 	spec.Game.JacobiBlock = *jacobi
-	spec.Game.ActiveTol = *activeT
 	spec.Game.Shards = *shards
 	spec.Detector.Solver = *solver
 	if *atkFlag != "" {
@@ -177,6 +175,18 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// Flag checks that need no system run before the build, so a bad
+	// invocation fails fast instead of after bootstrap, training and
+	// calibration.
+	if *detector != "aware" && *detector != "blind" {
+		fatal(exitcode.AsValidation(fmt.Errorf("unknown detector %q", *detector)))
+	}
+	if *resume && *ckpt == "" {
+		fatal(exitcode.AsValidation(fmt.Errorf("-resume requires -checkpoint")))
+	}
+	if *ckpt != "" && !*resume && checkpoint.Exists(*ckpt) {
+		fatal(exitcode.AsValidation(fmt.Errorf("checkpoint %s already exists; pass -resume to continue it or remove it", *ckpt)))
+	}
 
 	fmt.Fprintln(os.Stderr, "nmdetect: building system (bootstrap + training + calibration)...")
 	sys, err := core.NewSystem(ctx, opts)
@@ -189,19 +199,11 @@ func main() {
 	kit := sys.Aware
 	if *detector == "blind" {
 		kit = sys.Blind
-	} else if *detector != "aware" {
-		fatal(exitcode.AsValidation(fmt.Errorf("unknown detector %q", *detector)))
 	}
 
 	camp, err := sys.NewCampaign()
 	if err != nil {
 		fatal(err)
-	}
-	if *ckpt != "" && !*resume && checkpoint.Exists(*ckpt) {
-		fatal(exitcode.AsValidation(fmt.Errorf("checkpoint %s already exists; pass -resume to continue it or remove it", *ckpt)))
-	}
-	if *resume && *ckpt == "" {
-		fatal(exitcode.AsValidation(fmt.Errorf("-resume requires -checkpoint")))
 	}
 	results, err := sys.MonitorDaysCheckpointed(ctx, kit, camp, spec.Horizon.MonitorDays, !*noEnf, *ckpt, *ckptK)
 	if err != nil {
@@ -239,9 +241,6 @@ func main() {
 		len(delays), meanDelay, delays)
 }
 
-// runFleet is the multi-community path: lower the spec into a fleet
-// configuration, run the shared day loop and print the per-community table
-// plus rollup.
 // fleetConfig lowers the spec plus runtime knobs into a fleet configuration
 // (shared by the full-fleet and worker paths).
 func fleetConfig(spec scenario.Spec, detector string, enforce bool, fleetWorkers int, ckptDir string, ckptEvery int) fleet.Config {
@@ -264,6 +263,9 @@ func fleetConfig(spec scenario.Spec, detector string, enforce bool, fleetWorkers
 	return fcfg
 }
 
+// runFleet is the multi-community path: lower the spec into a fleet
+// configuration, run the shared day loop and print the per-community table
+// plus rollup.
 func runFleet(ctx context.Context, spec scenario.Spec, detector string, enforce bool, fleetWorkers int, reportPath, ckptDir string, ckptEvery int, resume bool) {
 	fcfg := fleetConfig(spec, detector, enforce, fleetWorkers, ckptDir, ckptEvery)
 	if resume && ckptDir == "" {

@@ -95,7 +95,6 @@ func main() {
 		strikes    = flag.String("strike-slots", "", "coordinated strike slots, comma-separated day hours e.g. 2,8,14,20 (ignored with -scenario)")
 		workers    = flag.Int("workers", 0, "worker budget (0 = all cores, 1 = sequential)")
 		jacobi     = flag.Int("jacobi", 0, "game block-Jacobi size (0 = sequential Gauss-Seidel)")
-		activeT    = flag.Float64("active-tol", 0, "game active-set tolerance in kW (0 = re-solve every customer every sweep)")
 		shards     = flag.Int("shards", 0, "hierarchical-solve shard count (<= 1 = flat solver, the reference semantics)")
 		csvDir     = flag.String("csv", "", "directory for CSV output (optional)")
 		reportPath = flag.String("report", "", "also write a markdown report here (requires -experiment all)")
@@ -120,7 +119,6 @@ func main() {
 	spec.Game.Sweeps = *sweeps
 	spec.Game.Workers = *workers
 	spec.Game.JacobiBlock = *jacobi
-	spec.Game.ActiveTol = *activeT
 	spec.Game.Shards = *shards
 	spec.Detector.Solver = *solver
 	if *atkFlag != "" {

@@ -78,7 +78,6 @@ func main() {
 		sweeps   = flag.Int("sweeps", 3, "game best-response sweeps")
 		workers  = flag.Int("workers", 0, "worker budget (0 = all cores, 1 = sequential)")
 		jacobi   = flag.Int("jacobi", 0, "game block-Jacobi size (0 = sequential Gauss-Seidel)")
-		activeT  = flag.Float64("active-tol", 0, "game active-set tolerance in kW (0 = re-solve every customer every sweep)")
 		shards   = flag.Int("shards", 0, "hierarchical-solve shard count (<= 1 = flat solver, the reference semantics)")
 		noNM     = flag.Bool("nonm", false, "disable net metering in the world model")
 		atkStr   = flag.String("attack", "none", "attack on the final day: a kind (zero|scale|ramp|load-shift|invert|none) windowed by -from/-to/-factor, or the compact form kind[:from-to[:value]] (delay:3, false-reading:10-15:0.8, adaptive:16-19:0.9)")
@@ -111,7 +110,6 @@ func main() {
 	spec.Game.Sweeps = *sweeps
 	spec.Game.Workers = *workers
 	spec.Game.JacobiBlock = *jacobi
-	spec.Game.ActiveTol = *activeT
 	spec.Game.Shards = *shards
 	if strings.ContainsRune(*atkStr, ':') {
 		ab, err := scenario.ParseAttack(*atkStr)

@@ -85,21 +85,14 @@ type Config struct {
 	// select a (deterministically) different equilibrium path, and it flows
 	// through GameConfig so detectors reproduce the engine's solves exactly.
 	GameJacobiBlock int
-	// GameActiveTol is the game solver's residual-gated active-set tolerance
-	// (game.Config.ActiveTol). 0 — the default — re-solves every customer
-	// every sweep, bitwise identical to the historical engine; values > 0
-	// skip customers whose neighborhood moved less than the tolerance. Like
-	// GameJacobiBlock it selects a (deterministically) different equilibrium
-	// path and flows through GameConfig so detectors match the engine.
-	GameActiveTol float64
 	// Shards is the hierarchical-solve shard count (game.Config.Shards):
 	// values > 1 partition the community into that many contiguous shards
 	// that solve their own inner fixed point and exchange only per-slot
 	// aggregate trading vectors in an outer Jacobi loop. <= 1 — the default
 	// — keeps the flat solver, bitwise identical to the historical engine
-	// (test-enforced). Like GameJacobiBlock and GameActiveTol this knob
-	// selects a (deterministically) different equilibrium path, and it flows
-	// through GameConfig so detectors reproduce the engine's solves exactly.
+	// (test-enforced). Like GameJacobiBlock this knob selects a
+	// (deterministically) different equilibrium path, and it flows through
+	// GameConfig so detectors reproduce the engine's solves exactly.
 	Shards int
 	// Faults injects deterministic data-plane faults (meter-reading dropout
 	// and corruption, stale guideline-price broadcasts, PV-sensor outages)
@@ -149,9 +142,6 @@ func (c Config) Validate() error {
 	}
 	if c.GameJacobiBlock < 0 {
 		return fmt.Errorf("community: negative Jacobi block size %d", c.GameJacobiBlock)
-	}
-	if math.IsNaN(c.GameActiveTol) || math.IsInf(c.GameActiveTol, 0) || c.GameActiveTol < 0 {
-		return fmt.Errorf("community: active-set tolerance %v must be finite and non-negative", c.GameActiveTol)
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("community: negative shard count %d", c.Shards)
@@ -259,7 +249,6 @@ func (e *Engine) GameConfig(netMetering bool) game.Config {
 	cfg.MaxSweeps = e.cfg.GameSweeps
 	cfg.Workers = e.cfg.Workers
 	cfg.JacobiBlock = e.cfg.GameJacobiBlock
-	cfg.ActiveTol = e.cfg.GameActiveTol
 	cfg.Shards = e.cfg.Shards
 	return cfg
 }

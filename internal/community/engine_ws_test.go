@@ -45,28 +45,3 @@ func TestEngineWorkspaceReuseMatchesFreshSolve(t *testing.T) {
 		}
 	}
 }
-
-func TestConfigValidateActiveTol(t *testing.T) {
-	bad := DefaultConfig(10, 1)
-	bad.GameActiveTol = -0.5
-	if err := bad.Validate(); err == nil {
-		t.Error("negative active-set tolerance accepted")
-	}
-	bad.GameActiveTol = math.NaN()
-	if err := bad.Validate(); err == nil {
-		t.Error("NaN active-set tolerance accepted")
-	}
-	ok := DefaultConfig(10, 1)
-	ok.GameActiveTol = 0.05
-	if err := ok.Validate(); err != nil {
-		t.Errorf("valid active-set tolerance rejected: %v", err)
-	}
-	// The knob must flow through to the solver config.
-	e, err := NewEngine(ok)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := e.GameConfig(true).ActiveTol; got != 0.05 {
-		t.Fatalf("GameConfig.ActiveTol = %v, want 0.05", got)
-	}
-}

@@ -2,6 +2,7 @@ package detect
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -91,14 +92,14 @@ func TestSingleEventValidation(t *testing.T) {
 func TestCountDeviating(t *testing.T) {
 	expected := [][]float64{{1, 1}, {2, 2}, {3, 3}}
 	realized := [][]float64{{1, 1}, {2, 3.5}, {3, 3.1}}
-	n, err := CountDeviating(expected, realized, 1, 0.5)
+	n, err := countDeviating(expected, realized, 1, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {
 		t.Fatalf("deviating = %d, want 1 (only meter 1 exceeds 0.5)", n)
 	}
-	n, err = CountDeviating(expected, realized, 0, 0.5)
+	n, err = countDeviating(expected, realized, 0, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,13 +109,13 @@ func TestCountDeviating(t *testing.T) {
 }
 
 func TestCountDeviatingErrors(t *testing.T) {
-	if _, err := CountDeviating([][]float64{{1}}, [][]float64{{1}, {2}}, 0, 0.5); err == nil {
+	if _, err := countDeviating([][]float64{{1}}, [][]float64{{1}, {2}}, 0, 0.5); err == nil {
 		t.Error("shape mismatch accepted")
 	}
-	if _, err := CountDeviating([][]float64{{1}}, [][]float64{{1}}, 0, 0); err == nil {
+	if _, err := countDeviating([][]float64{{1}}, [][]float64{{1}}, 0, 0); err == nil {
 		t.Error("zero tau accepted")
 	}
-	if _, err := CountDeviating([][]float64{{1}}, [][]float64{{1}}, 5, 0.5); err == nil {
+	if _, err := countDeviating([][]float64{{1}}, [][]float64{{1}}, 5, 0.5); err == nil {
 		t.Error("out-of-range slot accepted")
 	}
 }
@@ -122,7 +123,7 @@ func TestCountDeviatingErrors(t *testing.T) {
 func TestDeviationScores(t *testing.T) {
 	expected := [][]float64{{1, 1, 1, 1}, {2, 2, 2, 2}}
 	realized := [][]float64{{1, 1, 1, 1}, {4, 0, 2, 2}}
-	scores, err := DeviationScores(expected, realized)
+	scores, err := deviationScores(expected, realized)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestDeviationScores(t *testing.T) {
 	if math.Abs(scores[1]-want) > 1e-12 {
 		t.Fatalf("score = %v, want %v", scores[1], want)
 	}
-	if _, err := DeviationScores([][]float64{{1}}, [][]float64{{1, 2}}); err == nil {
+	if _, err := deviationScores([][]float64{{1}}, [][]float64{{1, 2}}); err == nil {
 		t.Error("ragged profiles accepted")
 	}
 }
@@ -425,4 +426,52 @@ func TestLongTermBeliefIsCopy(t *testing.T) {
 	if d.Belief()[0] == -99 {
 		t.Fatal("Belief returned internal state")
 	}
+}
+
+// The per-meter deviation measures below are test-only: the tests of this
+// file pin their arithmetic.
+
+// countDeviating is the per-meter observation channel: it compares each
+// meter's realized load at slot h against the expected load and returns how
+// many meters deviate by more than tau kW. expected and realized must have
+// identical shapes.
+func countDeviating(expected, realized [][]float64, h int, tau float64) (int, error) {
+	if len(expected) != len(realized) {
+		return 0, fmt.Errorf("detect: %d expected profiles vs %d realized", len(expected), len(realized))
+	}
+	if tau <= 0 {
+		return 0, fmt.Errorf("detect: deviation threshold %v must be positive", tau)
+	}
+	count := 0
+	for n := range expected {
+		if h < 0 || h >= len(expected[n]) || h >= len(realized[n]) {
+			return 0, fmt.Errorf("detect: slot %d out of range for meter %d", h, n)
+		}
+		if math.Abs(expected[n][h]-realized[n][h]) > tau {
+			count++
+		}
+	}
+	return count, nil
+}
+
+// deviationScores returns each meter's whole-day relative deviation between
+// expected and realized profiles: Σₕ|e−r| / (Σₕ e + 1). Used for day-level
+// flagging and diagnostics.
+func deviationScores(expected, realized [][]float64) ([]float64, error) {
+	if len(expected) != len(realized) {
+		return nil, fmt.Errorf("detect: %d expected profiles vs %d realized", len(expected), len(realized))
+	}
+	scores := make([]float64, len(expected))
+	for n := range expected {
+		if len(expected[n]) != len(realized[n]) {
+			return nil, fmt.Errorf("detect: meter %d profile lengths %d vs %d", n, len(expected[n]), len(realized[n]))
+		}
+		num, den := 0.0, 1.0
+		for h := range expected[n] {
+			num += math.Abs(expected[n][h] - realized[n][h])
+			den += expected[n][h]
+		}
+		scores[n] = num / den
+	}
+	return scores, nil
 }

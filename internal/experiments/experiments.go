@@ -51,10 +51,6 @@ type Config struct {
 	// (community.Config.GameJacobiBlock). 0 keeps the sequential
 	// Gauss-Seidel semantics the recorded results were produced with.
 	JacobiBlock int
-	// ActiveTol is the game solver's residual-gated active-set tolerance
-	// (community.Config.GameActiveTol). 0 re-solves every customer every
-	// sweep — the semantics the recorded results were produced with.
-	ActiveTol float64
 	// Shards is the hierarchical-solve shard count (community.Config.Shards).
 	// <= 1 keeps the flat solver — the semantics the recorded results were
 	// produced with; values > 1 solve shard fixed points coupled only by
@@ -129,9 +125,6 @@ func (c Config) Validate() error {
 	}
 	if c.Workers < 0 || c.JacobiBlock < 0 || c.Shards < 0 {
 		return fmt.Errorf("experiments: negative parallelism knob")
-	}
-	if c.ActiveTol < 0 {
-		return fmt.Errorf("experiments: negative active-set tolerance %v", c.ActiveTol)
 	}
 	if c.FlagTau < 0 || c.DeltaPAR < 0 || c.SolarForecastSigma < 0 {
 		return fmt.Errorf("experiments: negative detector/noise override")
@@ -378,7 +371,6 @@ func communityConfig(cfg Config) community.Config {
 	c.GameSweeps = cfg.GameSweeps
 	c.Workers = cfg.Workers
 	c.GameJacobiBlock = cfg.JacobiBlock
-	c.GameActiveTol = cfg.ActiveTol
 	c.Shards = cfg.Shards
 	if cfg.SellBackW != 0 {
 		c.Tariff.W = cfg.SellBackW

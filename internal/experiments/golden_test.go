@@ -82,8 +82,8 @@ func computeGolden(t *testing.T) goldenResults {
 
 // TestGoldenHeadlineNumbers locks the end-to-end pipeline: any change to the
 // solvers, the engine, the forecasters or the detectors that shifts a single
-// headline number fails here. Perf refactors (workspaces, active-set gating
-// at ActiveTol=0) must leave every value bitwise intact. To accept an
+// headline number fails here. Perf refactors (workspaces, say) must leave
+// every value bitwise intact. To accept an
 // intentional change: go test ./internal/experiments -run Golden -update
 func TestGoldenHeadlineNumbers(t *testing.T) {
 	if testing.Short() {

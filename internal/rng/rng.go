@@ -42,13 +42,8 @@ func (s *Source) next() uint64 {
 // Uint64 returns a uniformly distributed 64-bit value.
 func (s *Source) Uint64() uint64 { return s.next() }
 
-// State exposes the generator state for checkpointing. Restore(State())
-// reproduces the source's future stream exactly.
+// State exposes the generator's current state word.
 func (s *Source) State() uint64 { return s.state }
-
-// Restore returns a Source whose stream continues from a state previously
-// captured with State.
-func Restore(state uint64) *Source { return &Source{state: state} }
 
 // Derive returns a new independent Source identified by label. Deriving with
 // the same label from the same parent state always yields the same stream.
@@ -110,11 +105,6 @@ func (s *Source) TruncNormal(mean, stddev, lo, hi float64) float64 {
 		}
 	}
 	return Clamp(mean, lo, hi)
-}
-
-// LogNormal returns exp(Normal(mu, sigma)).
-func (s *Source) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(s.Normal(mu, sigma))
 }
 
 // Exponential returns an exponentially distributed value with the given rate

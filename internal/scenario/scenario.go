@@ -147,12 +147,6 @@ type Game struct {
 	// Gauss-Seidel, the reference semantics). Part of the content hash:
 	// blocks select a deterministically different equilibrium path.
 	JacobiBlock int `json:"jacobi_block"`
-	// ActiveTol is the solver's residual-gated active-set tolerance
-	// (game.Config.ActiveTol; 0 = every customer re-solves every sweep, the
-	// reference semantics). Like JacobiBlock it selects a deterministically
-	// different equilibrium path, so a non-zero value is part of the content
-	// hash; omitempty keeps the IDs of every pre-existing spec unchanged.
-	ActiveTol float64 `json:"active_tol,omitempty"`
 	// Shards is the hierarchical-solve shard count (game.Config.Shards;
 	// <= 1 = the flat solver, the reference semantics, bitwise identical to
 	// every pre-existing spec). Like JacobiBlock it selects a
@@ -406,9 +400,6 @@ func (s Spec) Validate() error {
 	if s.Game.Workers < 0 || s.Game.JacobiBlock < 0 || s.Game.Shards < 0 {
 		return fmt.Errorf("scenario: negative parallelism knob")
 	}
-	if nonFinite(s.Game.ActiveTol) || s.Game.ActiveTol < 0 {
-		return fmt.Errorf("scenario: active-set tolerance %v must be finite and non-negative", s.Game.ActiveTol)
-	}
 	if s.Faults != nil {
 		if err := s.Faults.lower(s.Seed).Validate(); err != nil {
 			return err
@@ -517,7 +508,6 @@ func (s Spec) CommunityConfig() community.Config {
 	c.GameSweeps = s.Game.Sweeps
 	c.Workers = s.Game.Workers
 	c.GameJacobiBlock = s.Game.JacobiBlock
-	c.GameActiveTol = s.Game.ActiveTol
 	c.Shards = s.Game.Shards
 	if s.Faults != nil {
 		c.Faults = s.Faults.lower(s.Seed)
@@ -542,7 +532,6 @@ func (s Spec) GameConfig(netMetering bool) game.Config {
 	cfg.MaxSweeps = s.Game.Sweeps
 	cfg.Workers = s.Game.Workers
 	cfg.JacobiBlock = s.Game.JacobiBlock
-	cfg.ActiveTol = s.Game.ActiveTol
 	cfg.Shards = s.Game.Shards
 	return cfg
 }
@@ -638,7 +627,6 @@ func (s Spec) ExperimentsConfig() experiments.Config {
 		Solver:        core.PolicySolver(s.Detector.Solver),
 		Workers:       s.Game.Workers,
 		JacobiBlock:   s.Game.JacobiBlock,
-		ActiveTol:     s.Game.ActiveTol,
 		Shards:        s.Game.Shards,
 	}
 	if s.Detector.FlagTau != 0.5 {

@@ -180,10 +180,17 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Inject a typo'd field.
-	bad := strings.Replace(string(data), `"n":`, `"num_houses": 9, "n":`, 1)
-	if _, err := Load(strings.NewReader(bad)); err == nil {
-		t.Fatal("Load accepted an unknown field")
+	// Inject a typo'd field, and a nested field the spec no longer has.
+	for _, bad := range []string{
+		strings.Replace(string(data), `"n":`, `"num_houses": 9, "n":`, 1),
+		strings.Replace(string(data), `"game":{`, `"game":{"active_tol":0.01,`, 1),
+	} {
+		if bad == string(data) {
+			t.Fatal("injection did not apply")
+		}
+		if _, err := Load(strings.NewReader(bad)); err == nil {
+			t.Fatalf("Load accepted an unknown field: %s", bad)
+		}
 	}
 	if _, err := Load(strings.NewReader(string(data))); err != nil {
 		t.Fatalf("Load rejected its own output: %v", err)

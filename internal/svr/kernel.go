@@ -1,19 +1,9 @@
 // Package svr implements support vector regression from scratch — the
-// guideline-price predictor of Section 4.1.
-//
-// Two trainers are provided:
-//
-//   - LSSVM: least-squares SVM (kernel ridge regression with bias), the
-//     formulation of the paper's own reference [10] (Tuomas et al., "LS-SVM
-//     functional network for time series prediction"). Training reduces to
-//     one dense linear solve, is deterministic and is the default for the
-//     forecaster.
-//   - EpsilonSVR: classical ε-insensitive SVR trained by sequential minimal
-//     optimization (SMO) on the dual, after Flake & Lawrence. Produces sparse
-//     support-vector models; used by the ablation benches.
-//
-// Both share the Kernel interface, the feature Scaler and the Model
-// prediction type.
+// guideline-price predictor of Section 4.1 — as a least-squares SVM (kernel
+// ridge regression with bias), the formulation of the paper's own reference
+// [10] (Tuomas et al., "LS-SVM functional network for time series
+// prediction"). Training reduces to one dense linear solve and is
+// deterministic.
 package svr
 
 import (
@@ -26,8 +16,6 @@ import (
 // Kernel computes k(a, b) for feature vectors of equal length.
 type Kernel interface {
 	Eval(a, b []float64) float64
-	// Name identifies the kernel for diagnostics.
-	Name() string
 }
 
 // LinearKernel is k(a,b) = aᵀb.
@@ -35,9 +23,6 @@ type LinearKernel struct{}
 
 // Eval implements Kernel.
 func (LinearKernel) Eval(a, b []float64) float64 { return mat.Dot(a, b) }
-
-// Name implements Kernel.
-func (LinearKernel) Name() string { return "linear" }
 
 // RBFKernel is k(a,b) = exp(−γ‖a−b‖²).
 type RBFKernel struct {
@@ -49,9 +34,6 @@ func (k RBFKernel) Eval(a, b []float64) float64 {
 	return math.Exp(-k.Gamma * mat.SqDist(a, b))
 }
 
-// Name implements Kernel.
-func (k RBFKernel) Name() string { return fmt.Sprintf("rbf(γ=%g)", k.Gamma) }
-
 // PolyKernel is k(a,b) = (aᵀb + coef)^degree.
 type PolyKernel struct {
 	Degree int
@@ -62,9 +44,6 @@ type PolyKernel struct {
 func (k PolyKernel) Eval(a, b []float64) float64 {
 	return math.Pow(mat.Dot(a, b)+k.Coef, float64(k.Degree))
 }
-
-// Name implements Kernel.
-func (k PolyKernel) Name() string { return fmt.Sprintf("poly(d=%d,c=%g)", k.Degree, k.Coef) }
 
 // gram builds the kernel matrix K_ij = k(xᵢ, xⱼ).
 func gram(k Kernel, x [][]float64) *mat.Matrix {

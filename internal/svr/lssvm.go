@@ -28,8 +28,8 @@ func DefaultLSSVMOptions() LSSVMOptions {
 //	| 1   K + I/γ   | |α| = |y|
 //
 // which one dense LU solve handles directly (n is a few hundred in the
-// forecaster). All training rows become support vectors — LS-SVM trades the
-// sparsity of ε-SVR for a closed-form fit.
+// forecaster). All training rows become support vectors — LS-SVM gives up
+// sparsity for a closed-form fit.
 func TrainLSSVM(x [][]float64, y []float64, opts LSSVMOptions) (*Model, error) {
 	if err := validateTrainingSet(x, y, opts.Kernel); err != nil {
 		return nil, err
@@ -62,11 +62,10 @@ func TrainLSSVM(x [][]float64, y []float64, opts LSSVMOptions) (*Model, error) {
 	}
 
 	return &Model{
-		Kernel:  opts.Kernel,
-		Scaler:  scaler,
-		SV:      xs,
-		Coef:    sol[1:],
-		Bias:    sol[0],
-		Trainer: "ls-svm",
+		Kernel: opts.Kernel,
+		Scaler: scaler,
+		SV:     xs,
+		Coef:   sol[1:],
+		Bias:   sol[0],
 	}, nil
 }

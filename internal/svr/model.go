@@ -7,12 +7,11 @@ import (
 
 // Model is a trained kernel regression model f(x) = Σᵢ coefᵢ·k(svᵢ, x) + b.
 type Model struct {
-	Kernel  Kernel
-	Scaler  *Scaler
-	SV      [][]float64 // support vectors (already standardized)
-	Coef    []float64   // dual coefficients (βᵢ = αᵢ − αᵢ* for ε-SVR)
-	Bias    float64
-	Trainer string // "ls-svm" or "eps-svr", for diagnostics
+	Kernel Kernel
+	Scaler *Scaler
+	SV     [][]float64 // support vectors (already standardized)
+	Coef   []float64   // dual coefficients
+	Bias   float64
 }
 
 // Predict evaluates the model at one raw (unscaled) feature vector.
@@ -28,27 +27,7 @@ func (m *Model) Predict(row []float64) float64 {
 	return out
 }
 
-// PredictAll evaluates the model at every row.
-func (m *Model) PredictAll(rows [][]float64) []float64 {
-	out := make([]float64, len(rows))
-	for i, r := range rows {
-		out[i] = m.Predict(r)
-	}
-	return out
-}
-
-// NumSupportVectors counts the non-zero dual coefficients.
-func (m *Model) NumSupportVectors() int {
-	n := 0
-	for _, c := range m.Coef {
-		if c != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// validateTrainingSet performs the shared input checks of both trainers.
+// validateTrainingSet performs the input checks of the trainer.
 func validateTrainingSet(x [][]float64, y []float64, k Kernel) error {
 	if len(x) == 0 {
 		return errors.New("svr: empty training set")

@@ -26,11 +26,6 @@ func TestKernels(t *testing.T) {
 	if got := poly.Eval(a, b); got != 144 {
 		t.Fatalf("poly = %v", got)
 	}
-	for _, k := range []Kernel{LinearKernel{}, rbf, poly} {
-		if k.Name() == "" {
-			t.Error("empty kernel name")
-		}
-	}
 }
 
 func TestScaler(t *testing.T) {
@@ -81,22 +76,28 @@ func sine1D(n int, noise float64, seed uint64) ([][]float64, []float64) {
 	return x, y
 }
 
+// predictAll evaluates m at every row.
+func predictAll(m *Model, rows [][]float64) []float64 {
+	out := make([]float64, len(rows))
+	for i, r := range rows {
+		out[i] = m.Predict(r)
+	}
+	return out
+}
+
 func TestLSSVMFitsSine(t *testing.T) {
 	x, y := sine1D(80, 0.02, 1)
 	m, err := TrainLSSVM(x, y, DefaultLSSVMOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred := m.PredictAll(x)
+	pred := predictAll(m, x)
 	if rmse := metrics.Must(metrics.RMSE(pred, y)); rmse > 0.08 {
 		t.Fatalf("train RMSE = %v", rmse)
 	}
 	// Interpolation between training points.
 	if got := m.Predict([]float64{1.5707}); math.Abs(got-1.0) > 0.1 {
 		t.Fatalf("sin(π/2) predicted as %v", got)
-	}
-	if m.Trainer != "ls-svm" {
-		t.Fatalf("trainer = %q", m.Trainer)
 	}
 }
 
@@ -129,7 +130,7 @@ func TestLSSVMRegularizationControlsFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if metrics.Must(metrics.RMSE(tight.PredictAll(x), y)) >= metrics.Must(metrics.RMSE(loose.PredictAll(x), y)) {
+	if metrics.Must(metrics.RMSE(predictAll(tight, x), y)) >= metrics.Must(metrics.RMSE(predictAll(loose, x), y)) {
 		t.Fatal("higher gamma should fit training data tighter")
 	}
 }
@@ -157,158 +158,6 @@ func TestLSSVMErrors(t *testing.T) {
 	}
 }
 
-func TestEpsSVRFitsSine(t *testing.T) {
-	x, y := sine1D(80, 0.02, 3)
-	opts := DefaultEpsSVROptions()
-	opts.Epsilon = 0.05
-	m, err := TrainEpsSVR(x, y, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred := m.PredictAll(x)
-	// ε-SVR should fit within roughly the tube width.
-	if rmse := metrics.Must(metrics.RMSE(pred, y)); rmse > 0.12 {
-		t.Fatalf("train RMSE = %v", rmse)
-	}
-	if m.Trainer != "eps-svr" {
-		t.Fatalf("trainer = %q", m.Trainer)
-	}
-}
-
-func TestEpsSVRSparsity(t *testing.T) {
-	// With a wide tube, most points sit inside it and get zero coefficients.
-	x, y := sine1D(60, 0.0, 4)
-	opts := DefaultEpsSVROptions()
-	opts.Epsilon = 0.5
-	m, err := TrainEpsSVR(x, y, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nsv := m.NumSupportVectors(); nsv >= len(x) {
-		t.Fatalf("no sparsity: %d support vectors of %d points", nsv, len(x))
-	}
-	// Tube-width accuracy must still hold.
-	pred := m.PredictAll(x)
-	for i := range y {
-		if math.Abs(pred[i]-y[i]) > 0.6 {
-			t.Fatalf("point %d error %v beyond tube", i, math.Abs(pred[i]-y[i]))
-		}
-	}
-}
-
-func TestEpsSVRConstraintInvariants(t *testing.T) {
-	x, y := sine1D(50, 0.05, 5)
-	opts := DefaultEpsSVROptions()
-	m, err := TrainEpsSVR(x, y, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0.0
-	for _, b := range m.Coef {
-		if math.Abs(b) > opts.C+1e-9 {
-			t.Fatalf("coefficient %v exceeds box C=%v", b, opts.C)
-		}
-		sum += b
-	}
-	if math.Abs(sum) > 1e-6 {
-		t.Fatalf("Σβ = %v, want 0", sum)
-	}
-}
-
-func TestEpsSVRErrors(t *testing.T) {
-	x := [][]float64{{1}, {2}}
-	y := []float64{1, 2}
-	bad := func(mod func(*EpsSVROptions)) EpsSVROptions {
-		o := DefaultEpsSVROptions()
-		mod(&o)
-		return o
-	}
-	if _, err := TrainEpsSVR(x, y, bad(func(o *EpsSVROptions) { o.C = 0 })); err == nil {
-		t.Error("C=0 accepted")
-	}
-	if _, err := TrainEpsSVR(x, y, bad(func(o *EpsSVROptions) { o.Epsilon = -1 })); err == nil {
-		t.Error("negative epsilon accepted")
-	}
-	if _, err := TrainEpsSVR(x, y, bad(func(o *EpsSVROptions) { o.MaxSweeps = 0 })); err == nil {
-		t.Error("zero sweeps accepted")
-	}
-	if _, err := TrainEpsSVR(x, y, bad(func(o *EpsSVROptions) { o.Tol = 0 })); err == nil {
-		t.Error("zero tolerance accepted")
-	}
-	if _, err := TrainEpsSVR(x, y, bad(func(o *EpsSVROptions) { o.Kernel = nil })); err == nil {
-		t.Error("nil kernel accepted")
-	}
-}
-
-func TestEpsSVRKKTConditions(t *testing.T) {
-	// Verify the SMO solution satisfies the ε-SVR optimality conditions:
-	// residual r = f(x) − y must obey
-	//   β = 0        →  |r| ≤ ε (+tol)
-	//   0 < β < C    →  r ≈ −ε
-	//   β = C        →  r ≤ −ε (+tol)
-	//   −C < β < 0   →  r ≈ +ε
-	//   β = −C       →  r ≥ +ε (−tol)
-	x, y := sine1D(60, 0.05, 8)
-	opts := DefaultEpsSVROptions()
-	opts.Epsilon = 0.08
-	opts.MaxSweeps = 400
-	m, err := TrainEpsSVR(x, y, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const tol = 0.02
-	violations := 0
-	for i := range x {
-		r := m.Predict(x[i]) - y[i]
-		beta := m.Coef[i]
-		switch {
-		case beta == 0:
-			if math.Abs(r) > opts.Epsilon+tol {
-				violations++
-			}
-		case beta >= opts.C-1e-9:
-			if r > -opts.Epsilon+tol {
-				violations++
-			}
-		case beta > 0:
-			if math.Abs(r+opts.Epsilon) > tol {
-				violations++
-			}
-		case beta <= -opts.C+1e-9:
-			if r < opts.Epsilon-tol {
-				violations++
-			}
-		default: // −C < β < 0
-			if math.Abs(r-opts.Epsilon) > tol {
-				violations++
-			}
-		}
-	}
-	// A small number of boundary points may sit just outside tolerance due
-	// to the shared bias estimate; wholesale violations mean SMO failed.
-	if violations > len(x)/10 {
-		t.Fatalf("%d of %d KKT violations", violations, len(x))
-	}
-}
-
-func TestTrainersAgreeOnSmoothTarget(t *testing.T) {
-	// Both trainers should produce comparable predictions on clean data.
-	x, y := sine1D(60, 0.0, 6)
-	ls, err := TrainLSSVM(x, y, DefaultLSSVMOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	es, err := TrainEpsSVR(x, y, DefaultEpsSVROptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	lsPred := ls.PredictAll(x)
-	esPred := es.PredictAll(x)
-	if d := metrics.Must(metrics.RMSE(lsPred, esPred)); d > 0.15 {
-		t.Fatalf("trainer disagreement RMSE = %v", d)
-	}
-}
-
 func TestModelMultivariate(t *testing.T) {
 	// f(x) = x₀ + 2x₁ learned from 2-D samples.
 	s := rng.New(7)
@@ -327,12 +176,5 @@ func TestModelMultivariate(t *testing.T) {
 	got := m.Predict([]float64{2, 3})
 	if math.Abs(got-8) > 0.3 {
 		t.Fatalf("f(2,3) = %v, want ~8", got)
-	}
-}
-
-func TestNumSupportVectors(t *testing.T) {
-	m := &Model{Coef: []float64{0, 1, 0, -2}}
-	if m.NumSupportVectors() != 2 {
-		t.Fatalf("NumSupportVectors = %d", m.NumSupportVectors())
 	}
 }

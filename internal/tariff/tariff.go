@@ -49,14 +49,6 @@ func NewQuadratic(w float64) (Quadratic, error) {
 	return Quadratic{W: w}, nil
 }
 
-// CommunityCost returns the total monetary cost pₕ·(Σy)² of the community's
-// net purchase at one slot. Negative total trading (community is a net
-// seller) still yields a non-negative quantity under the quadratic form; the
-// utility's books for that case are settled per customer.
-func (q Quadratic) CommunityCost(price, totalTrading float64) float64 {
-	return price * totalTrading * totalTrading
-}
-
 // CustomerCost returns Cₙʰ for one customer per Eqn 2 (with the selling
 // branch's sign corrected as described in the package comment): buyers pay
 // the marginal price pₕ·Σy per unit, sellers are paid (pₕ/W)·Σy per unit.
@@ -75,21 +67,6 @@ func (q Quadratic) CustomerCost(price, totalTrading, customerTrading float64) fl
 		return price * totalTrading * customerTrading
 	}
 	return price / q.W * totalTrading * customerTrading
-}
-
-// ScheduleCost returns the customer's total cost over a horizon given the
-// guideline price vector, the community trading totals and the customer's own
-// trading vector. Mismatched lengths are an error.
-func (q Quadratic) ScheduleCost(price, totalTrading, customerTrading []float64) (float64, error) {
-	if len(price) != len(totalTrading) || len(price) != len(customerTrading) {
-		return 0, fmt.Errorf("tariff: ScheduleCost length mismatch %d/%d/%d",
-			len(price), len(totalTrading), len(customerTrading))
-	}
-	total := 0.0
-	for h := range price {
-		total += q.CustomerCost(price[h], totalTrading[h], customerTrading[h])
-	}
-	return total, nil
 }
 
 // Formation is the utility's guideline-price process.

@@ -1,6 +1,7 @@
 package tariff
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -20,12 +21,12 @@ func TestNewQuadratic(t *testing.T) {
 
 func TestCommunityCost(t *testing.T) {
 	q, _ := NewQuadratic(2)
-	if got := q.CommunityCost(0.1, 10); math.Abs(got-10) > 1e-12 {
-		t.Fatalf("CommunityCost = %v", got)
+	if got := q.communityCost(0.1, 10); math.Abs(got-10) > 1e-12 {
+		t.Fatalf("communityCost = %v", got)
 	}
 	// Quadratic: doubling demand quadruples cost.
-	if got := q.CommunityCost(0.1, 20); math.Abs(got-40) > 1e-12 {
-		t.Fatalf("CommunityCost = %v", got)
+	if got := q.communityCost(0.1, 20); math.Abs(got-40) > 1e-12 {
+		t.Fatalf("communityCost = %v", got)
 	}
 }
 
@@ -100,19 +101,19 @@ func TestScheduleCost(t *testing.T) {
 	price := []float64{0.1, 0.2}
 	total := []float64{10, 10}
 	mine := []float64{1, -1}
-	got, err := q.ScheduleCost(price, total, mine)
+	got, err := q.scheduleCost(price, total, mine)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := 0.1*10*1 + 0.2/2*10*(-1)
 	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("ScheduleCost = %v, want %v", got, want)
+		t.Fatalf("scheduleCost = %v, want %v", got, want)
 	}
 }
 
 func TestScheduleCostMismatchErrors(t *testing.T) {
 	q, _ := NewQuadratic(2)
-	if _, err := q.ScheduleCost([]float64{1}, []float64{1, 2}, []float64{1}); err == nil {
+	if _, err := q.scheduleCost([]float64{1}, []float64{1, 2}, []float64{1}); err == nil {
 		t.Fatal("mismatch did not error")
 	}
 }
@@ -308,4 +309,30 @@ func TestHistory(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("misaligned history accepted")
 	}
+}
+
+// The cost aggregates below are test-only: the tests of this file pin their
+// arithmetic against CustomerCost.
+
+// communityCost returns the total monetary cost pₕ·(Σy)² of the community's
+// net purchase at one slot. Negative total trading (community is a net
+// seller) still yields a non-negative quantity under the quadratic form; the
+// utility's books for that case are settled per customer.
+func (q Quadratic) communityCost(price, totalTrading float64) float64 {
+	return price * totalTrading * totalTrading
+}
+
+// scheduleCost returns the customer's total cost over a horizon given the
+// guideline price vector, the community trading totals and the customer's own
+// trading vector. Mismatched lengths are an error.
+func (q Quadratic) scheduleCost(price, totalTrading, customerTrading []float64) (float64, error) {
+	if len(price) != len(totalTrading) || len(price) != len(customerTrading) {
+		return 0, fmt.Errorf("tariff: scheduleCost length mismatch %d/%d/%d",
+			len(price), len(totalTrading), len(customerTrading))
+	}
+	total := 0.0
+	for h := range price {
+		total += q.CustomerCost(price[h], totalTrading[h], customerTrading[h])
+	}
+	return total, nil
 }

@@ -1,6 +1,6 @@
 #!/bin/sh
 # cover_check.sh — statement-coverage floor for the hot-path solver packages.
-# The workspace/active-set refactor (DESIGN.md §10) leans on its test layer —
+# The workspace refactor (DESIGN.md §10) leans on its test layer —
 # the dpsched property suite, the game identity/invariance tests, the ceopt
 # workspace tests and the fleet determinism suite (§12) — so this gate fails
 # the build if any of those packages

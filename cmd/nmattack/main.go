@@ -18,13 +18,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
 	"nmdetect/internal/attack"
-	"nmdetect/internal/exitcode"
+	"nmdetect/internal/cli"
 	"nmdetect/internal/obs"
 	"nmdetect/internal/rng"
 	"nmdetect/internal/scenario"
@@ -32,48 +29,34 @@ import (
 	"nmdetect/internal/timeseries"
 )
 
-func main() {
-	var (
-		atkStr  = flag.String("attack", "zero", "manipulation: bare zero|scale|invert (window flags) or compact kind[:from-to[:value]], e.g. ramp:12-20:0.3, delay:3, false-reading:10-15:0.8")
-		from    = flag.Int("from", 16, "window start slot")
-		to      = flag.Int("to", 17, "window end slot")
-		factor  = flag.Float64("factor", 0.5, "scale factor")
-		n       = flag.Int("n", 500, "community size for the campaign trace")
-		prob    = flag.Float64("prob", 0.25, "per-slot compromise probability")
-		batchLo = flag.Int("batchlo", 5, "min meters per compromise batch")
-		batchHi = flag.Int("batchhi", 20, "max meters per compromise batch")
-		hours   = flag.Int("hours", 48, "campaign length in slots")
-		seed    = flag.Uint64("seed", 1, "campaign seed")
-		events  = flag.String("events", "", "write a JSONL run-event stream to this file")
-		pprofA  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	)
-	flag.Parse()
+var (
+	obsFlags = cli.NewObs(true)
+	atkStr   = flag.String("attack", "zero", "manipulation: bare zero|scale|invert (window flags) or compact kind[:from-to[:value]], e.g. ramp:12-20:0.3, delay:3, false-reading:10-15:0.8")
+	from     = flag.Int("from", 16, "window start slot")
+	to       = flag.Int("to", 17, "window end slot")
+	factor   = flag.Float64("factor", 0.5, "scale factor")
+	n        = flag.Int("n", 500, "community size for the campaign trace")
+	prob     = flag.Float64("prob", 0.25, "per-slot compromise probability")
+	batchLo  = flag.Int("batchlo", 5, "min meters per compromise batch")
+	batchHi  = flag.Int("batchhi", 20, "max meters per compromise batch")
+	hours    = flag.Int("hours", 48, "campaign length in slots")
+	seed     = flag.Uint64("seed", 1, "campaign seed")
+)
 
-	// SIGINT and SIGTERM both stop the campaign loop at the next slot and
-	// flush the obs sinks through the deferred Shutdown — nmattack used to
-	// die mid-write on TERM, leaving truncated event streams behind.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+func main() { cli.Main("nmattack", realMain) }
 
-	if err := obs.Setup(obs.RunConfig{
-		Cmd: "nmattack", EventsPath: *events, PprofAddr: *pprofA,
-		CPUProfile: *cpuProf, MemProfile: *memProf, Seed: *seed,
-	}); err != nil {
-		fatal(err)
+// realMain stops the campaign loop at the next slot on SIGINT/SIGTERM, so
+// the event stream is flushed instead of truncated mid-write.
+func realMain(ctx context.Context) error {
+	if err := obsFlags.Start(obs.RunConfig{Cmd: "nmattack", Seed: *seed}); err != nil {
+		return err
 	}
-	defer func() {
-		if err := obs.Shutdown(); err != nil {
-			fmt.Fprintln(os.Stderr, "nmattack:", err)
-		}
-	}()
 
 	var blk scenario.Attack
 	if strings.ContainsRune(*atkStr, ':') || *atkStr == "none" {
 		parsed, err := scenario.ParseAttack(*atkStr)
 		if err != nil {
-			fatal(exitcode.AsValidation(err))
+			return cli.Invalid(err)
 		}
 		blk = parsed
 	} else {
@@ -88,7 +71,11 @@ func main() {
 	// flagger threshold it would otherwise target.
 	atk, err := blk.Build(0.5)
 	if err != nil {
-		fatal(exitcode.AsValidation(err))
+		return cli.Invalid(err)
+	}
+	camp, err := attack.NewCampaign(*n, *prob, *batchLo, *batchHi, atk)
+	if err != nil {
+		return cli.Invalid(err)
 	}
 
 	// A representative diurnal price to manipulate.
@@ -103,7 +90,7 @@ func main() {
 	}
 	price, err := form.Publish(demand, ren, *n, true, nil)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	manipulated := atk.Apply(price)
 
@@ -113,23 +100,18 @@ func main() {
 		fmt.Printf("%d,%.6f,%.6f\n", h, price[h], manipulated[h])
 	}
 
-	camp, err := attack.NewCampaign(*n, *prob, *batchLo, *batchHi, atk)
-	if err != nil {
-		fatal(exitcode.AsValidation(err))
-	}
 	src := rng.New(*seed)
-	endCampaign := obs.Default().Span("attack.campaign")
+	defer obs.Default().Span("attack.campaign")()
 	fmt.Println("\n# campaign trace")
 	fmt.Println("hour,newly_hacked,total_hacked")
 	for t := 0; t < *hours; t++ {
 		if ctx.Err() != nil {
-			endCampaign()
-			fatal(fmt.Errorf("interrupted after %d campaign slots", t))
+			return fmt.Errorf("interrupted after %d campaign slots", t)
 		}
 		newly := camp.Step(src)
 		fmt.Printf("%d,%d,%d\n", t, newly, camp.Count())
 	}
-	endCampaign()
+	return nil
 }
 
 func dayShape(h int) float64 {
@@ -141,11 +123,4 @@ func dayShape(h int) float64 {
 	default:
 		return 0
 	}
-}
-
-func fatal(err error) {
-	// os.Exit skips deferred calls; flush profiles and the event sink here.
-	obs.Shutdown() //nolint:errcheck // already exiting on err
-	fmt.Fprintln(os.Stderr, "nmattack:", err)
-	os.Exit(exitcode.For(err))
 }

@@ -4,7 +4,8 @@
 // 24-slot price (CSV "slot,price" or built-in default), runs the DP
 // appliance scheduler and, if the household has PV and a battery, the
 // cross-entropy storage optimization, and prints the resulting schedule and
-// cost.
+// cost. A negative or non-finite -pv-scale, or a non-finite price, exits 2
+// before the solve.
 //
 // Usage:
 //
@@ -17,12 +18,11 @@ import (
 	"encoding/csv"
 	"flag"
 	"fmt"
+	"math"
 	"os"
-	"os/signal"
 	"strconv"
-	"syscall"
 
-	"nmdetect/internal/exitcode"
+	"nmdetect/internal/cli"
 	"nmdetect/internal/game"
 	"nmdetect/internal/household"
 	"nmdetect/internal/obs"
@@ -32,47 +32,40 @@ import (
 	"nmdetect/internal/timeseries"
 )
 
-func main() {
-	var (
-		specPath  = flag.String("spec", "", "household spec JSON (required)")
-		pricePath = flag.String("price", "", "price CSV 'slot,price' (default: built-in TOU shape)")
-		pvScale   = flag.Float64("pv-scale", 1.0, "clear-sky PV scale for the day")
-		seed      = flag.Uint64("seed", 1, "controller seed")
-		events    = flag.String("events", "", "write a JSONL run-event stream to this file")
-		pprofA    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	)
-	flag.Parse()
+var (
+	obsFlags  = cli.NewObs(true)
+	specPath  = flag.String("spec", "", "household spec JSON (required)")
+	pricePath = flag.String("price", "", "price CSV 'slot,price' (default: built-in TOU shape)")
+	pvScale   = flag.Float64("pv-scale", 1.0, "clear-sky PV scale for the day (finite, >= 0)")
+	seed      = flag.Uint64("seed", 1, "controller seed")
+)
 
-	if err := obs.Setup(obs.RunConfig{
-		Cmd: "nmsched", EventsPath: *events, PprofAddr: *pprofA,
-		CPUProfile: *cpuProf, MemProfile: *memProf, Seed: *seed, Workers: 1,
-	}); err != nil {
-		fatal(err)
+func main() { cli.Main("nmsched", realMain) }
+
+func realMain(ctx context.Context) error {
+	if err := obsFlags.Start(obs.RunConfig{Cmd: "nmsched", Seed: *seed, Workers: 1}); err != nil {
+		return err
 	}
-	defer func() {
-		if err := obs.Shutdown(); err != nil {
-			fmt.Fprintln(os.Stderr, "nmsched:", err)
-		}
-	}()
 
 	if *specPath == "" {
-		fatal(exitcode.AsValidation(fmt.Errorf("-spec is required")))
+		return cli.Invalidf("-spec is required")
+	}
+	if math.IsNaN(*pvScale) || math.IsInf(*pvScale, 0) || *pvScale < 0 {
+		return cli.Invalidf("-pv-scale %v: want a finite scale >= 0", *pvScale)
 	}
 	f, err := os.Open(*specPath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	customer, err := household.ParseSpec(f, 0)
 	f.Close()
 	if err != nil {
-		fatal(exitcode.AsValidation(err))
+		return cli.Invalid(err)
 	}
 
 	price, err := loadPrice(*pricePath)
 	if err != nil {
-		fatal(exitcode.AsValidation(err))
+		return cli.Invalid(err)
 	}
 
 	// Realize the household's PV for a clear day at the requested scale.
@@ -88,7 +81,7 @@ func main() {
 
 	q, err := tariff.NewQuadratic(1.5)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	cfg := game.DefaultConfig(q, customer.HasPV())
 	cfg.MaxSweeps = 3
@@ -98,11 +91,9 @@ func main() {
 		src = rng.New(*seed)
 		pvIn = [][]float64{pv}
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	res, err := game.Solve(ctx, []*household.Customer{customer}, price, pvIn, cfg, src)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	fmt.Println("slot,price,pv_kw,consumption_kw,net_flow_kw,battery_kwh")
@@ -116,6 +107,7 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "nmsched: daily cost %.4f; consumption %.2f kWh; PV %.2f kWh\n",
 		res.Cost[0], res.Load.Sum(), timeseries.Series(pv).Sum())
+	return nil
 }
 
 // loadPrice reads a "slot,price" CSV (header optional) or returns the
@@ -154,6 +146,9 @@ func loadPrice(path string) (timeseries.Series, error) {
 		if err2 != nil {
 			return nil, fmt.Errorf("nmsched: price row %d: %v", i, err2)
 		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("nmsched: price row %d: non-finite price %v", i, v)
+		}
 		if slot < 0 || slot >= 24 {
 			return nil, fmt.Errorf("nmsched: slot %d out of range", slot)
 		}
@@ -164,11 +159,4 @@ func loadPrice(path string) (timeseries.Series, error) {
 		return nil, fmt.Errorf("nmsched: price covers %d slots, want 24", filled)
 	}
 	return price, nil
-}
-
-func fatal(err error) {
-	// os.Exit skips deferred calls; flush profiles and the event sink here.
-	obs.Shutdown() //nolint:errcheck // already exiting on err
-	fmt.Fprintln(os.Stderr, "nmsched:", err)
-	os.Exit(exitcode.For(err))
 }

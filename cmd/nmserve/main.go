@@ -41,7 +41,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -51,51 +50,39 @@ import (
 	"syscall"
 	"time"
 
-	"nmdetect/internal/exitcode"
+	"nmdetect/internal/cli"
 	"nmdetect/internal/obs"
 	"nmdetect/internal/serve"
 )
 
-func main() {
-	var (
-		addr     = flag.String("addr", "localhost:8080", "listen address for the API")
-		addrFile = flag.String("addr-file", "", "write the bound address to this file once listening")
-		stateDir = flag.String("state", "", "state directory holding the per-session checkpoints (required)")
-		ckptK    = flag.Int("checkpoint-every", 1, "days between per-session checkpoints (1 = every acknowledged day is durable)")
-		stepDl   = flag.Duration("step-deadline", 0, "per-day watchdog: evict a session whose day ingest exceeds this (0 = no deadline)")
-		drain    = flag.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight requests on SIGTERM/SIGINT")
-		events   = flag.String("events", "", "write a JSONL run-event stream to this file")
-		pprofA   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	)
-	flag.Parse()
+var (
+	obsFlags = cli.NewObs(true)
+	addr     = flag.String("addr", "localhost:8080", "listen address for the API")
+	addrFile = flag.String("addr-file", "", "write the bound address to this file once listening")
+	stateDir = flag.String("state", "", "state directory holding the per-session checkpoints (required)")
+	ckptK    = flag.Int("checkpoint-every", 1, "days between per-session checkpoints (1 = every acknowledged day is durable)")
+	stepDl   = flag.Duration("step-deadline", 0, "per-day watchdog: evict a session whose day ingest exceeds this (0 = no deadline)")
+	drain    = flag.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight requests on SIGTERM/SIGINT")
+)
 
+func main() { cli.Main("nmserve", realMain) }
+
+func realMain(ctx context.Context) error {
 	if *stateDir == "" {
-		fatal(exitcode.AsValidation(errors.New("-state is required")))
+		return cli.Invalidf("-state is required")
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	if err := obs.Setup(obs.RunConfig{
-		Cmd: "nmserve", EventsPath: *events, PprofAddr: *pprofA,
-		CPUProfile: *cpuProf, MemProfile: *memProf,
-	}); err != nil {
-		fatal(err)
+	if err := obsFlags.Start(obs.RunConfig{Cmd: "nmserve"}); err != nil {
+		return err
 	}
-	defer func() {
-		if err := obs.Shutdown(); err != nil {
-			fmt.Fprintln(os.Stderr, "nmserve:", err)
-		}
-	}()
 
 	// Bind before restoring sessions: a bad -addr is a configuration error
 	// and should fail fast as one.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fatal(exitcode.AsValidation(fmt.Errorf("listen %s: %w", *addr, err)))
+		return cli.Invalidf("listen %s: %w", *addr, err)
 	}
+	// Serve and Shutdown close the listener too; closing it again is harmless.
+	defer ln.Close()
 
 	srv, err := serve.New(ctx, serve.Config{
 		StateDir:        *stateDir,
@@ -103,20 +90,17 @@ func main() {
 		StepDeadline:    *stepDl,
 	})
 	if err != nil {
-		ln.Close()
-		fatal(err)
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "nmserve: %d session(s) restored from %s\n", srv.Sessions(), *stateDir)
 
 	if *addrFile != "" {
 		tmp := *addrFile + ".tmp"
 		if err := os.WriteFile(tmp, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
-			ln.Close()
-			fatal(err)
+			return err
 		}
 		if err := os.Rename(tmp, *addrFile); err != nil {
-			ln.Close()
-			fatal(err)
+			return err
 		}
 	}
 	fmt.Fprintf(os.Stderr, "nmserve: listening on %s\n", ln.Addr())
@@ -128,10 +112,10 @@ func main() {
 	select {
 	case err := <-serveErr:
 		// The listener died out from under us — runtime failure.
-		fatal(fmt.Errorf("serve: %w", err))
+		return fmt.Errorf("serve: %w", err)
 	case <-ctx.Done():
 	}
-	stop() // a second signal during drain kills the process the default way
+	signal.Reset(os.Interrupt, syscall.SIGTERM) // a second signal during drain kills the process the default way
 
 	fmt.Fprintln(os.Stderr, "nmserve: signal received, draining...")
 	shCtx, cancel := context.WithTimeout(context.Background(), *drain)
@@ -144,14 +128,8 @@ func main() {
 		httpSrv.Close()
 	}
 	if err := srv.CheckpointAll(); err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Fprintln(os.Stderr, "nmserve: all sessions checkpointed, exiting")
-}
-
-func fatal(err error) {
-	// os.Exit skips deferred calls; flush profiles and the event sink here.
-	obs.Shutdown() //nolint:errcheck // already exiting on err
-	fmt.Fprintln(os.Stderr, "nmserve:", err)
-	os.Exit(exitcode.For(err))
+	return nil
 }

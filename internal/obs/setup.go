@@ -30,9 +30,9 @@ var setupState struct {
 
 // Setup starts the observability side of a run: it opens the event sink (if
 // requested), installs it as the process default, writes the run manifest,
-// and starts the profiling hooks. Commands call it once after flag parsing
-// and must pair it with Shutdown — including on the error exit path, since
-// os.Exit skips deferred calls.
+// and starts the profiling hooks. It must be paired with Shutdown on every
+// exit path; the commands start it through cli.Obs, and cli.Main calls
+// Shutdown once the command returns.
 //
 // With every field empty, Setup is a no-op and Shutdown stays cheap.
 func Setup(cfg RunConfig) error {

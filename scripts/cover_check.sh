@@ -1,17 +1,17 @@
 #!/bin/sh
-# cover_check.sh — statement-coverage floor for the hot-path solver packages.
-# The workspace refactor (DESIGN.md §10) leans on its test layer —
-# the dpsched property suite, the game identity/invariance tests, the ceopt
-# workspace tests and the fleet determinism suite (§12) — so this gate fails
-# the build if any of those packages
-# drops below the floor, before a coverage regression can silently erode the
-# bitwise-identity contract.
+# cover_check.sh — statement-coverage floor for the hot-path solver packages
+# and the command layer. The workspace refactor (DESIGN.md §10) leans on its
+# test layer — the dpsched property suite, the game identity/invariance
+# tests, the ceopt workspace tests and the fleet determinism suite (§12) —
+# and every command lowers its flags through internal/cli, so this gate
+# fails the build if any of those packages drops below the floor, before a
+# coverage regression can silently erode the bitwise-identity contract.
 #
 # Run from the repository root: scripts/cover_check.sh
 set -eu
 
 FLOOR=${COVER_FLOOR:-70}
-PKGS="internal/dpsched internal/game internal/ceopt internal/meterstate internal/fleet internal/supervise internal/serve internal/attack"
+PKGS="internal/dpsched internal/game internal/ceopt internal/meterstate internal/fleet internal/supervise internal/serve internal/attack internal/cli"
 PROFILE=${COVER_PROFILE:-coverage.out}
 
 fail=0

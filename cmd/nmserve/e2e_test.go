@@ -65,41 +65,53 @@ func e2eSpec(t *testing.T) scenario.Spec {
 
 // daemon is one running nmserve process.
 type daemon struct {
-	cmd  *exec.Cmd
-	base string // http://addr
-	errb *bytes.Buffer
+	cmd    *exec.Cmd
+	base   string // http://addr
+	errb   *bytes.Buffer
+	exited chan struct{} // closed once the process has been reaped
+	err    error         // Wait's result; read it after exited is closed
 }
 
 // startDaemon launches nmserve over state and waits for it to publish its
-// bound address. extra appends flags (e.g. -checkpoint-every).
+// bound address. extra appends flags (e.g. -checkpoint-every). The daemon is
+// killed when the test ends, so a failing test leaves no process behind.
 func startDaemon(t *testing.T, state string, extra ...string) *daemon {
 	t.Helper()
 	addrFile := filepath.Join(t.TempDir(), "bound.addr")
 	args := append([]string{"-state", state, "-addr", "127.0.0.1:0", "-addr-file", addrFile}, extra...)
-	cmd := exec.Command(nmserveBin, args...)
-	var errb bytes.Buffer
-	cmd.Stderr = &errb
-	if err := cmd.Start(); err != nil {
+	d := &daemon{cmd: exec.Command(nmserveBin, args...), errb: new(bytes.Buffer), exited: make(chan struct{})}
+	d.cmd.Stderr = d.errb
+	if err := d.cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
+	go func() {
+		d.err = d.cmd.Wait()
+		close(d.exited)
+	}()
+	t.Cleanup(d.kill)
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		if raw, err := os.ReadFile(addrFile); err == nil {
-			base := "http://" + strings.TrimSpace(string(raw))
-			return &daemon{cmd: cmd, base: base, errb: &errb}
+			d.base = "http://" + strings.TrimSpace(string(raw))
+			return d
 		}
-		if cmd.ProcessState != nil || time.Now().After(deadline) {
-			cmd.Process.Kill() //nolint:errcheck
-			t.Fatalf("nmserve did not come up; stderr:\n%s", errb.String())
+		select {
+		case <-d.exited:
+			t.Fatalf("nmserve exited before binding: %v; stderr:\n%s", d.err, d.errb.String())
+		case <-time.After(20 * time.Millisecond):
 		}
-		time.Sleep(20 * time.Millisecond)
+		if time.Now().After(deadline) {
+			d.kill()
+			t.Fatalf("nmserve did not come up; stderr:\n%s", d.errb.String())
+		}
 	}
 }
 
-func (d *daemon) kill(t *testing.T) {
-	t.Helper()
+// kill SIGKILLs the daemon and waits until it is reaped. It is a no-op on a
+// daemon that has already exited.
+func (d *daemon) kill() {
 	d.cmd.Process.Kill() //nolint:errcheck
-	d.cmd.Wait()         //nolint:errcheck
+	<-d.exited
 }
 
 // sigterm sends SIGTERM and waits for a clean exit 0.
@@ -108,15 +120,13 @@ func (d *daemon) sigterm(t *testing.T) {
 	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- d.cmd.Wait() }()
 	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("nmserve exit after SIGTERM: %v; stderr:\n%s", err, d.errb.String())
+	case <-d.exited:
+		if d.err != nil {
+			t.Fatalf("nmserve exit after SIGTERM: %v; stderr:\n%s", d.err, d.errb.String())
 		}
 	case <-time.After(30 * time.Second):
-		d.cmd.Process.Kill() //nolint:errcheck
+		d.kill()
 		t.Fatalf("nmserve did not exit within 30s of SIGTERM; stderr:\n%s", d.errb.String())
 	}
 }
@@ -244,10 +254,9 @@ func TestSIGKILLRestartByteIdentical(t *testing.T) {
 	d1 := startDaemon(t, state, "-checkpoint-every", "1")
 	createSession(t, d1.base, spec, "kill-me", http.StatusCreated)
 	postDay(t, d1.base, "kill-me", 0)
-	d1.kill(t)
+	d1.kill()
 
 	d2 := startDaemon(t, state)
-	defer d2.kill(t)
 	if got := completedDays(t, d2.base, "kill-me"); got != 1 {
 		t.Fatalf("restarted daemon reports %d completed days, want 1", got)
 	}
@@ -276,7 +285,6 @@ func TestSIGTERMDrainsAndCheckpoints(t *testing.T) {
 	}
 
 	d2 := startDaemon(t, state)
-	defer d2.kill(t)
 	if got := completedDays(t, d2.base, "term-me"); got != 1 {
 		t.Fatalf("resumed daemon reports %d completed days, want 1 (SIGTERM checkpoint lost?)", got)
 	}

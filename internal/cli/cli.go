@@ -15,6 +15,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"syscall"
 
 	"nmdetect/internal/checkpoint"
@@ -32,10 +33,19 @@ var ErrDumped = errors.New("cli: scenario dumped")
 // SIGTERM cancel, and exits. On the way out it calls obs.Shutdown once, so a
 // failed event-stream flush fails an otherwise successful run; it then
 // prints "name: err" for a failure and exits with the code exitcode.For
-// assigns (DESIGN.md §14).
+// assigns (DESIGN.md §14). A panic in body prints the value and the stack,
+// flushes the event stream and exits exitcode.Panic, which a supervisor
+// retries.
 func Main(name string, body func(ctx context.Context) error) {
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer func() {
+		if p := recover(); p != nil {
+			fmt.Fprintf(os.Stderr, "%s: panic: %v\n\n%s", name, p, debug.Stack())
+			obs.Shutdown() //nolint:errcheck
+			os.Exit(exitcode.Panic)
+		}
+	}()
 	err := body(ctx)
 	stop()
 	if errors.Is(err, ErrDumped) {

@@ -1,7 +1,8 @@
 // End-to-end tests of the seven command binaries, built once in TestMain:
 // each command's flag surface is pinned against a golden parsed from -h,
 // invocations that must fail land on the exit-code taxonomy (DESIGN.md §14),
-// and -dump-scenario output loads back through -scenario unchanged.
+// a panic exits 1, and -dump-scenario output loads back through -scenario
+// unchanged.
 package cli
 
 import (
@@ -17,9 +18,12 @@ import (
 	"regexp"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"nmdetect/internal/exitcode"
+	"nmdetect/internal/parallel"
 	"nmdetect/internal/scenario"
 )
 
@@ -30,7 +34,28 @@ var commands = []string{"nmattack", "nmdetect", "nmfleet", "nmrepro", "nmsched",
 
 var binDir string
 
+// panicEnv, when set, makes the test binary run a panicking body through
+// Main instead of the tests (TestPanicExitsOne): "body" panics on the
+// calling goroutine, "helper" on a worker-pool helper as well.
+const panicEnv = "CLI_TEST_PANIC"
+
 func TestMain(m *testing.M) {
+	if where := os.Getenv(panicEnv); where != "" {
+		Main("panicker", func(ctx context.Context) error {
+			if where == "body" {
+				panic("boom")
+			}
+			// Each item waits until both have started, so the helper
+			// surely runs one.
+			var started sync.WaitGroup
+			started.Add(2)
+			return parallel.ForEach(ctx, 2, 2, func(i int) error {
+				started.Done()
+				started.Wait()
+				panic(fmt.Sprintf("boom in item %d", i))
+			})
+		})
+	}
 	flag.Parse()
 	dir, err := os.MkdirTemp("", "cli-e2e-")
 	if err != nil {
@@ -53,9 +78,16 @@ func TestMain(m *testing.M) {
 // run executes a built command and returns its exit code, stdout and stderr.
 func run(t *testing.T, name string, args ...string) (int, []byte, string) {
 	t.Helper()
+	return runBin(t, filepath.Join(binDir, name), nil, args...)
+}
+
+// runBin is run for the binary at path, with env added to its environment.
+func runBin(t *testing.T, path string, env []string, args ...string) (int, []byte, string) {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	cmd := exec.CommandContext(ctx, filepath.Join(binDir, name), args...)
+	cmd := exec.CommandContext(ctx, path, args...)
+	cmd.Env = append(os.Environ(), env...)
 	var outb, errb bytes.Buffer
 	cmd.Stdout = &outb
 	cmd.Stderr = &errb
@@ -65,7 +97,7 @@ func run(t *testing.T, name string, args ...string) (int, []byte, string) {
 	}
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) {
-		t.Fatalf("%s %v: %v", name, args, err)
+		t.Fatalf("%s %v: %v", path, args, err)
 	}
 	return exit.ExitCode(), outb.Bytes(), errb.String()
 }
@@ -154,11 +186,12 @@ func writeFile(t *testing.T, dir, name, body string) string {
 
 // TestExitCodes pins the exit code of invocations that must fail. Every
 // validation failure (exit 2) happens before the command writes anything to
-// stdout.
+// stdout, and before nmdetect starts its system build.
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	world := []string{"-n", "6", "-boot", "4", "-days", "1", "-sweeps", "2", "-solver", "qmdp"}
 	household := filepath.Join("..", "..", "cmd", "nmsched", "example-spec.json")
+	stale := writeFile(t, dir, "stale.ckpt", "x")
 
 	var prices strings.Builder
 	for h := 0; h < 24; h++ {
@@ -198,6 +231,9 @@ func TestExitCodes(t *testing.T) {
 		{"nmrepro report without all", "nmrepro", append(world, "-experiment", "fig3", "-report", filepath.Join(dir, "r.md")), 2},
 		{"nmrepro json with fig3", "nmrepro", append(world, "-experiment", "fig3", "-json", filepath.Join(dir, "r.json")), 2},
 		{"nmrepro fleet without a fleet", "nmrepro", append(world, "-experiment", "fleet"), 2},
+		{"nmdetect unknown detector", "nmdetect", append(world, "-detector", "bogus"), 2},
+		{"nmdetect resume without checkpoint", "nmdetect", append(world, "-resume"), 2},
+		{"nmdetect existing checkpoint without resume", "nmdetect", append(world, "-checkpoint", stale), 2},
 		{"nmattack bad attack", "nmattack", []string{"-attack", "bogus"}, 2},
 		{"nmattack inverted batch range", "nmattack", []string{"-batchlo", "30", "-batchhi", "5"}, 2},
 		{"nmattack event flush fails", "nmattack", []string{"-events", "/dev/full", "-hours", "1"}, 3},
@@ -223,6 +259,28 @@ func TestExitCodes(t *testing.T) {
 			if tc.want == 2 && len(stdout) > 0 {
 				t.Fatalf("%s %v: validation failure after writing stdout:\n%s", tc.cmd, tc.args, stdout)
 			}
+			if tc.want == 2 && strings.Contains(stderr, "building system") {
+				t.Fatalf("%s %v: validation failure reported only after the system build; stderr:\n%s", tc.cmd, tc.args, stderr)
+			}
+		})
+	}
+}
+
+// TestPanicExitsOne re-executes the test binary into a panicking Main body
+// (see panicEnv). A panic, on the calling goroutine or on a pool helper,
+// exits 1 with the value and a goroutine trace on stderr, not with the Go
+// runtime's 2, which the supervisor would read as a permanent validation
+// failure.
+func TestPanicExitsOne(t *testing.T) {
+	for _, where := range []string{"body", "helper"} {
+		t.Run(where, func(t *testing.T) {
+			code, _, stderr := runBin(t, os.Args[0], []string{panicEnv + "=" + where})
+			if code != exitcode.Panic {
+				t.Fatalf("exit %d, want %d; stderr:\n%s", code, exitcode.Panic, stderr)
+			}
+			if !strings.Contains(stderr, "panicker: panic: boom") || !strings.Contains(stderr, "goroutine ") {
+				t.Fatalf("stderr lacks the panic value or a goroutine trace:\n%s", stderr)
+			}
 		})
 	}
 }
@@ -236,6 +294,7 @@ func TestDumpScenarioRoundTrip(t *testing.T) {
 	}{
 		{"nmsim", []string{"-n", "12", "-seed", "7", "-days", "3", "-jacobi", "4", "-attack", "scale", "-factor", "0.25"}},
 		{"nmrepro", []string{"-n", "12", "-seed", "7", "-days", "3", "-boot", "5", "-shards", "2", "-attack", "delay:3", "-strike-slots", "2,8"}},
+		{"nmdetect", []string{"-n", "12", "-seed", "7", "-days", "3", "-jacobi", "4"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.cmd, func(t *testing.T) {

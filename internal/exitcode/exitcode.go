@@ -3,6 +3,9 @@
 // workers, so a worker's exit status must say whether retrying can help:
 //
 //	0 — success
+//	1 — panic: cli.Main recovered a panic and printed its stack. Retryable,
+//	    like signal death; the supervisor's retry budget bounds a panic that
+//	    recurs.
 //	2 — validation: bad flags, an invalid scenario, conflicting options.
 //	    Permanent: the same invocation fails the same way every time.
 //	3 — runtime: anything that failed while doing the work (solver
@@ -25,11 +28,11 @@ import (
 	"nmdetect/internal/checkpoint"
 )
 
-// The taxonomy. 1 is deliberately unused: it is the untyped failure code
-// most tooling emits, so reserving it keeps "legacy exit 1" distinguishable
-// from a classified failure.
+// The taxonomy. An error never maps to Panic: only cli.Main's recover exits
+// with it.
 const (
 	OK                 = 0
+	Panic              = 1
 	Validation         = 2
 	Runtime            = 3
 	ResumeIncompatible = 4
@@ -75,9 +78,9 @@ func For(err error) int {
 }
 
 // Retryable reports whether a worker that exited with code can make
-// progress if restarted against the same state: runtime failures (and any
-// unclassified code, including the -1 Go reports for signal death) are
-// retryable; success needs no retry; validation and resume-incompatibility
+// progress if restarted against the same state: panics and runtime failures
+// (and any unclassified code, including the -1 Go reports for signal death)
+// are retryable; success needs no retry; validation and resume-incompatibility
 // fail identically every time.
 func Retryable(code int) bool {
 	switch code {

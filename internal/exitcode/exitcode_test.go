@@ -55,7 +55,7 @@ func TestRetryable(t *testing.T) {
 		ResumeIncompatible: false,
 		Runtime:            true,
 		-1:                 true, // signal death: Go's ExitCode() for a killed process
-		1:                  true, // legacy untyped failure
+		Panic:              true, // cli.Main recovered a panic
 		137:                true, // shell-style 128+SIGKILL
 	}
 	for code, want := range cases {

@@ -22,8 +22,8 @@ type SimDayResult struct {
 // results in fleet order. The same invariance contract as Drive applies:
 // workers bounds the fan-out only, each engine advances exclusively under
 // its own slot, so the traces are bitwise invariant to the worker count.
-// cmd/nmsim's -communities mode and the fleet scale benchmark are built on
-// this loop.
+// cmd/nmsim's -communities mode and the fleet curve test (TestFleetCurve)
+// are built on this loop.
 func SimDay(ctx context.Context, workers int, engines []*community.Engine, netMetering bool) ([]SimDayResult, error) {
 	sink := obs.From(ctx)
 	end := sink.Span("fleet.sim_day")

@@ -28,7 +28,9 @@ package parallel
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -122,6 +124,13 @@ func ctxErr(ctx context.Context) error {
 // failed, in which case that error (first in index order) wins. A nil ctx is
 // accepted and never cancels.
 //
+// With workers > 1, a panic in fn stops the call like an error does, and
+// ForEach re-raises the first one on the calling goroutine once every helper
+// has returned its token, so it reaches the caller's recover (cli.Main exits
+// 1, DESIGN.md §14) instead of ending the process from a helper. The
+// re-raised value prints the original value and the stack of the goroutine
+// that panicked.
+//
 // fn must be safe for concurrent invocation when workers > 1: distinct
 // indices must not write to shared state.
 func ForEach(ctx context.Context, workers, n int, fn func(i int) error) error {
@@ -147,7 +156,18 @@ func ForEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	var next int64
 	var failed, cancelled atomic.Bool
+	var panicked atomic.Pointer[workerPanic]
 	run := func() {
+		defer func() {
+			if p := recover(); p != nil {
+				wp, ok := p.(*workerPanic)
+				if !ok {
+					wp = &workerPanic{value: p, stack: debug.Stack()}
+				}
+				panicked.CompareAndSwap(nil, wp)
+				failed.Store(true)
+			}
+		}()
 		for {
 			if failed.Load() || cancelled.Load() {
 				return
@@ -190,6 +210,9 @@ func ForEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 	run()
 	wg.Wait()
 
+	if p := panicked.Load(); p != nil {
+		panic(p) // lint:allow-panic — re-raises a work item's panic on the caller
+	}
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -200,6 +223,16 @@ func ForEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 	}
 	return nil
 }
+
+// workerPanic is a panic recovered from a ForEach work item. A ForEach
+// nested in a work item passes it on as is, so the stack stays the one of
+// the goroutine where the panic started.
+type workerPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *workerPanic) String() string { return fmt.Sprintf("%v\n\n%s", p.value, p.stack) }
 
 // Do runs the given tasks with at most Resolve(workers) executing
 // concurrently and returns the first error in argument order. With

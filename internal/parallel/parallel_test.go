@@ -3,6 +3,8 @@ package parallel
 import (
 	"errors"
 	"fmt"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -125,5 +127,35 @@ func TestForEachNestedDoesNotDeadlock(t *testing.T) {
 	}
 	if total != 64 {
 		t.Fatalf("nested total = %d", total)
+	}
+}
+
+// TestForEachHelperPanicSurfacesOnCaller pins that a helper goroutine's
+// panic does not end the process: ForEach re-raises it on the calling
+// goroutine, with the panicking goroutine's stack, once every helper token
+// is back. Each work item waits until both have started, so the helper is
+// sure to run one of them.
+func TestForEachHelperPanicSurfacesOnCaller(t *testing.T) {
+	prev := SetLimit(8)
+	defer SetLimit(prev)
+	var started sync.WaitGroup
+	started.Add(2)
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		ForEach(nil, 2, 2, func(i int) error { //nolint:errcheck
+			started.Done()
+			started.Wait()
+			panic(fmt.Sprintf("boom %d", i))
+		})
+	}()
+	if got == nil {
+		t.Fatal("ForEach returned instead of re-raising the panic")
+	}
+	if msg := fmt.Sprint(got); !strings.Contains(msg, "boom ") || !strings.Contains(msg, "goroutine ") {
+		t.Fatalf("re-raised panic lacks the value or the stack:\n%s", msg)
+	}
+	if out := Outstanding(); out != 0 {
+		t.Fatalf("%d helper tokens leaked", out)
 	}
 }

@@ -14,15 +14,14 @@ import (
 //
 // "scale500" is the sharded paper-scale world: the same Default(500, 42)
 // community solved hierarchically with 8 community shards (game.Config.Shards)
-// — the configuration the BENCH_scale.json customers-vs-ns/op curve is
-// recorded against. Sharding selects a deterministically different
-// equilibrium path, so scale500 has its own content ID, pinned by the golden
-// scenario tests alongside the flat presets.
+// — the world the benchmark's batch-scale500 workload runs. Sharding selects
+// a deterministically different equilibrium path, so scale500 has its own
+// content ID, pinned by the golden scenario tests alongside the flat presets.
 //
 // "serve-smoke" is the tiny world the nmserve smoke paths run: an
 // 8-customer community with a short bootstrap, the fast QMDP solver and a
-// 3-day monitoring horizon, cheap enough for CI to drive a daemon
-// end-to-end (and the default session shape of `make bench-serve-smoke`).
+// 3-day monitoring horizon, cheap enough to drive a daemon end-to-end (and
+// the session shape of the benchmark's serve-stream workload).
 var presetNames = []string{"fig3", "fig4", "fig5", "fig6", "scale500", "serve-smoke", "table1"}
 
 // scale500Shards is the shard count of the scale500 preset.

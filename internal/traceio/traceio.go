@@ -1,6 +1,5 @@
-// Package traceio reads and writes the simulator's time-series artifacts as
-// CSV, so traces produced by cmd/nmsim can be archived, plotted externally,
-// and fed back into analysis tooling.
+// Package traceio writes the simulator's time-series artifacts as CSV, so
+// traces produced by cmd/nmsim can be archived and plotted externally.
 //
 // Two formats are defined:
 //
@@ -13,12 +12,10 @@ package traceio
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 
 	"nmdetect/internal/tariff"
-	"nmdetect/internal/timeseries"
 )
 
 // Row is one slot of a community trace.
@@ -58,43 +55,6 @@ func WriteTrace(w io.Writer, rows []Row) error {
 	return cw.Error()
 }
 
-// ReadTrace parses a community trace written by WriteTrace.
-func ReadTrace(r io.Reader) ([]Row, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("traceio: %w", err)
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("traceio: empty trace")
-	}
-	if err := checkHeader(records[0], traceHeader); err != nil {
-		return nil, err
-	}
-	rows := make([]Row, 0, len(records)-1)
-	for i, rec := range records[1:] {
-		if len(rec) != len(traceHeader) {
-			return nil, fmt.Errorf("traceio: row %d has %d fields, want %d", i+1, len(rec), len(traceHeader))
-		}
-		row := Row{}
-		var errs [7]error
-		row.Day, errs[0] = strconv.Atoi(rec[0])
-		row.Slot, errs[1] = strconv.Atoi(rec[1])
-		row.Price, errs[2] = strconv.ParseFloat(rec[2], 64)
-		row.Renewable, errs[3] = strconv.ParseFloat(rec[3], 64)
-		row.Load, errs[4] = strconv.ParseFloat(rec[4], 64)
-		row.GridDemand, errs[5] = strconv.ParseFloat(rec[5], 64)
-		row.Hacked, errs[6] = strconv.Atoi(rec[6])
-		for _, e := range errs {
-			if e != nil {
-				return nil, fmt.Errorf("traceio: row %d: %w", i+1, e)
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
 // historyHeader is the training-history CSV header.
 var historyHeader = []string{"slot", "price", "renewable", "demand"}
 
@@ -122,75 +82,6 @@ func WriteHistory(w io.Writer, h tariff.History) error {
 	return cw.Error()
 }
 
-// ReadHistory parses a history written by WriteHistory.
-func ReadHistory(r io.Reader) (tariff.History, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return tariff.History{}, fmt.Errorf("traceio: %w", err)
-	}
-	if len(records) == 0 {
-		return tariff.History{}, fmt.Errorf("traceio: empty history")
-	}
-	if err := checkHeader(records[0], historyHeader); err != nil {
-		return tariff.History{}, err
-	}
-	h := tariff.History{}
-	for i, rec := range records[1:] {
-		if len(rec) != len(historyHeader) {
-			return tariff.History{}, fmt.Errorf("traceio: row %d has %d fields", i+1, len(rec))
-		}
-		p, err1 := strconv.ParseFloat(rec[1], 64)
-		ren, err2 := strconv.ParseFloat(rec[2], 64)
-		d, err3 := strconv.ParseFloat(rec[3], 64)
-		for _, e := range []error{err1, err2, err3} {
-			if e != nil {
-				return tariff.History{}, fmt.Errorf("traceio: row %d: %w", i+1, e)
-			}
-		}
-		h.Append(p, ren, d)
-	}
-	if err := h.Validate(); err != nil {
-		return tariff.History{}, err
-	}
-	return h, nil
-}
-
-// TraceSeries extracts one column of a trace as a time series, ordered as
-// stored.
-func TraceSeries(rows []Row, column string) (timeseries.Series, error) {
-	out := make(timeseries.Series, len(rows))
-	for i, r := range rows {
-		switch column {
-		case "price":
-			out[i] = r.Price
-		case "renewable":
-			out[i] = r.Renewable
-		case "load":
-			out[i] = r.Load
-		case "grid_demand":
-			out[i] = r.GridDemand
-		case "hacked":
-			out[i] = float64(r.Hacked)
-		default:
-			return nil, fmt.Errorf("traceio: unknown column %q", column)
-		}
-	}
-	return out, nil
-}
-
-func checkHeader(got, want []string) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("traceio: header %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			return fmt.Errorf("traceio: header %v, want %v", got, want)
-		}
-	}
-	return nil
-}
-
 // formatFloat uses the shortest representation that parses back to exactly
-// the same float64, so traces round-trip losslessly.
+// the same float64, so a trace loses no precision.
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

@@ -2,37 +2,31 @@ package traceio
 
 import (
 	"bytes"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
 	"nmdetect/internal/tariff"
 )
 
-func sampleRows() []Row {
-	return []Row{
+// TestWriteTraceGolden pins the community-trace bytes cmd/nmsim writes.
+func TestWriteTraceGolden(t *testing.T) {
+	rows := []Row{
 		{Day: 0, Slot: 0, Price: 0.06, Renewable: 0, Load: 40.5, GridDemand: 41.2, Hacked: 0},
 		{Day: 0, Slot: 1, Price: 0.0612345, Renewable: 1.25, Load: 38.1, GridDemand: 36.9, Hacked: 3},
 		{Day: 1, Slot: 23, Price: 0.055, Renewable: 0, Load: 52.0, GridDemand: 52.0, Hacked: 12},
 	}
-}
-
-func TestTraceRoundTrip(t *testing.T) {
-	rows := sampleRows()
+	const want = "day,slot,price,renewable,load,grid_demand,hacked\n" +
+		"0,0,0.06,0,40.5,41.2,0\n" +
+		"0,1,0.0612345,1.25,38.1,36.9,3\n" +
+		"1,23,0.055,0,52,52,12\n"
 	var buf bytes.Buffer
 	if err := WriteTrace(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(rows) {
-		t.Fatalf("rows = %d", len(got))
-	}
-	for i := range rows {
-		if got[i] != rows[i] {
-			t.Fatalf("row %d = %+v, want %+v", i, got[i], rows[i])
-		}
+	if got := buf.String(); got != want {
+		t.Fatalf("trace bytes:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -41,49 +35,26 @@ func TestTraceEmptyRows(t *testing.T) {
 	if err := WriteTrace(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("rows = %d", len(got))
+	if got, want := buf.String(), "day,slot,price,renewable,load,grid_demand,hacked\n"; got != want {
+		t.Fatalf("empty trace = %q, want the header only", got)
 	}
 }
 
-func TestReadTraceRejects(t *testing.T) {
-	cases := []string{
-		"",
-		"wrong,header\n1,2\n",
-		"day,slot,price,renewable,load,grid_demand,hacked\nx,0,1,2,3,4,5\n",
-		"day,slot,price,renewable,load,grid_demand,hacked\n0,0,notafloat,2,3,4,5\n",
-	}
-	for i, c := range cases {
-		if _, err := ReadTrace(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
-	}
-}
-
-func TestHistoryRoundTrip(t *testing.T) {
-	h := tariff.History{}
-	for i := 0; i < 48; i++ {
-		h.Append(0.05+float64(i)/1000, float64(i%24), 40+float64(i))
-	}
+// TestWriteHistoryGolden pins the training-history bytes nmsim -history
+// writes.
+func TestWriteHistoryGolden(t *testing.T) {
+	var h tariff.History
+	h.Append(0.05, 0, 40)
+	h.Append(0.051, 1.5, 41.25)
+	const want = "slot,price,renewable,demand\n" +
+		"0,0.05,0,40\n" +
+		"1,0.051,1.5,41.25\n"
 	var buf bytes.Buffer
 	if err := WriteHistory(&buf, h); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadHistory(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != h.Len() {
-		t.Fatalf("length = %d", got.Len())
-	}
-	for i := 0; i < h.Len(); i++ {
-		if got.Price[i] != h.Price[i] || got.Renewable[i] != h.Renewable[i] || got.Demand[i] != h.Demand[i] {
-			t.Fatalf("slot %d differs", i)
-		}
+	if got := buf.String(); got != want {
+		t.Fatalf("history bytes:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -94,57 +65,32 @@ func TestWriteHistoryRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestReadHistoryRejects(t *testing.T) {
-	cases := []string{
-		"",
-		"bad,header,x,y\n",
-		"slot,price,renewable,demand\n0,x,1,2\n",
-	}
-	for i, c := range cases {
-		if _, err := ReadHistory(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
-	}
-}
-
-func TestTraceSeries(t *testing.T) {
-	rows := sampleRows()
-	price, err := TraceSeries(rows, "price")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(price) != 3 || price[0] != 0.06 {
-		t.Fatalf("price = %v", price)
-	}
-	hacked, err := TraceSeries(rows, "hacked")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hacked[2] != 12 {
-		t.Fatalf("hacked = %v", hacked)
-	}
-	for _, col := range []string{"renewable", "load", "grid_demand"} {
-		if _, err := TraceSeries(rows, col); err != nil {
-			t.Fatalf("%s: %v", col, err)
-		}
-	}
-	if _, err := TraceSeries(rows, "nope"); err == nil {
-		t.Fatal("unknown column accepted")
-	}
-}
-
+// TestFloatPrecisionSurvives pins the float format: the shortest string that
+// parses back to exactly the same float64, never a rounded or padded one.
 func TestFloatPrecisionSurvives(t *testing.T) {
-	// Shortest-representation formatting: arbitrary values round-trip.
-	rows := []Row{{Price: 0.123456, Load: 99.000001}}
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, rows); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		v    float64
+		want string
+	}{
+		{0.123456, "0.123456"},
+		{99.000001, "99.000001"},
+		{0.30000000000000004, "0.30000000000000004"},
+		{math.Nextafter(1, 2), "1.0000000000000002"},
+		{1e-7, "1e-07"},
+		{-2.5e21, "-2.5e+21"},
 	}
-	got, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].Price != 0.123456 || got[0].Load != 99.000001 {
-		t.Fatalf("precision lost: %+v", got[0])
+	for _, c := range cases {
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, []Row{{Price: c.v}}); err != nil {
+			t.Fatal(err)
+		}
+		_, row, _ := strings.Cut(buf.String(), "\n")
+		field := strings.Split(row, ",")[2]
+		if field != c.want {
+			t.Errorf("%v written as %q, want %q", c.v, field, c.want)
+		}
+		if back, err := strconv.ParseFloat(field, 64); err != nil || back != c.v {
+			t.Errorf("%q parses back to %v (%v), want %v", field, back, err, c.v)
+		}
 	}
 }

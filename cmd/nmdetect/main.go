@@ -144,7 +144,7 @@ func realMain(ctx context.Context) error {
 				action = "INSPECT"
 			}
 			fmt.Printf("%d,%d,%d,%d,%d,%s\n",
-				slot, day.Flagged[h], day.ObsBucket[h], day.TrueBucket[h], day.Trace.TrueHacked[h], action)
+				slot, day.Flagged[h], day.ObsBucket[h], day.TrueBucket[h], day.TrueHacked[h], action)
 			slot++
 		}
 	}

@@ -67,7 +67,7 @@ func main() {
 		for h := 0; h < 24; h++ {
 			if day.Actions[h] == detect.ActionInspect {
 				fmt.Printf("  day %d %02d:00 — INSPECT (est. %d meters hacked, truly %d)\n",
-					d+1, h, day.Estimated[h], day.Trace.TrueHacked[h])
+					d+1, h, day.Estimated[h], day.TrueHacked[h])
 			}
 		}
 	}

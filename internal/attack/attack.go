@@ -75,7 +75,7 @@ func inWindow(n, from, to, h int) bool {
 		return true
 	}
 	start := ((from % n) + n) % n
-	off := ((h - start) % n + n) % n
+	off := ((h-start)%n + n) % n
 	return off < span
 }
 

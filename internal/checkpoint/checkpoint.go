@@ -7,9 +7,8 @@
 // are renamed into place, so a crash mid-write never corrupts the previous
 // checkpoint.
 //
-// gob (not JSON) is deliberate: checkpointed state legally contains NaN —
-// dropped meter readings are recorded as NaN sentinels — and encoding/json
-// cannot represent non-finite floats.
+// gob (not JSON) is deliberate: it round-trips every float bit for bit, NaN
+// and ±Inf included, where encoding/json cannot represent non-finite floats.
 package checkpoint
 
 import (
@@ -25,8 +24,10 @@ import (
 
 // Version is the on-disk format version. Bump it whenever the layout of any
 // checkpointed payload type changes incompatibly; old files then fail with
-// ErrIncompatible instead of decoding garbage.
-const Version = 1
+// ErrIncompatible instead of decoding garbage. gob ignores stream fields the
+// destination type lacks and leaves empty the fields the stream lacks, so
+// moving a field is incompatible even though decoding succeeds.
+const Version = 2
 
 const magic = "NMCKPT"
 

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"encoding/gob"
 	"errors"
 	"math"
 	"os"
@@ -76,6 +77,27 @@ func TestLoadRejectsForeignFiles(t *testing.T) {
 	}
 	if err := Load(wrongKind, "test", &out); !errors.Is(err, ErrIncompatible) {
 		t.Fatalf("wrong kind: got %v, want ErrIncompatible", err)
+	}
+
+	// A well-formed file of the previous format version: its payload would
+	// decode, so only the header's version stops it.
+	older := filepath.Join(dir, "older.ckpt")
+	f, err := os.Create(older)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := gob.NewEncoder(f)
+	if err := enc.Encode(header{Magic: magic, Version: Version - 1, Kind: "test"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode(&payload{Day: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := Load(older, "test", &out); !errors.Is(err, ErrIncompatible) {
+		t.Fatalf("older version: got %v, want ErrIncompatible", err)
 	}
 
 	if err := Load(filepath.Join(dir, "missing.ckpt"), "test", &out); err == nil {

@@ -1,8 +1,8 @@
 // End-to-end tests of the seven command binaries, built once in TestMain:
 // each command's flag surface is pinned against a golden parsed from -h,
 // invocations that must fail land on the exit-code taxonomy (DESIGN.md §14),
-// a panic exits 1, and -dump-scenario output loads back through -scenario
-// unchanged.
+// a panic exits 1, a killed nmdetect run resumes to the uninterrupted output,
+// and -dump-scenario output loads back through -scenario unchanged.
 package cli
 
 import (
@@ -263,6 +263,58 @@ func TestExitCodes(t *testing.T) {
 				t.Fatalf("%s %v: validation failure reported only after the system build; stderr:\n%s", tc.cmd, tc.args, stderr)
 			}
 		})
+	}
+}
+
+// TestNmdetectSIGKILLResumeByteIdentical kills a checkpointing nmdetect run
+// once its first checkpoint is on disk, resumes it with -resume, and requires
+// the per-slot log of an uninterrupted run, byte for byte. The log prints
+// each stored day's true hacked counts, so the restored days pass through a
+// real save and load.
+func TestNmdetectSIGKILLResumeByteIdentical(t *testing.T) {
+	world := []string{"-n", "8", "-boot", "4", "-days", "12", "-sweeps", "2", "-solver", "qmdp", "-seed", "7"}
+	code, want, stderr := run(t, "nmdetect", world...)
+	if code != 0 {
+		t.Fatalf("uninterrupted run: exit %d; stderr:\n%s", code, stderr)
+	}
+
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	args := append(slices.Clone(world), "-checkpoint", ckpt, "-checkpoint-every", "1")
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, filepath.Join(binDir, "nmdetect"), args...)
+	var killedOut bytes.Buffer
+	cmd.Stdout = &killedOut
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for waiting := true; waiting; {
+		select {
+		case err := <-done:
+			t.Fatalf("nmdetect exited (%v) before its first checkpoint appeared", err)
+		case <-tick.C:
+			_, err := os.Stat(ckpt)
+			waiting = err != nil
+		}
+	}
+	// Kill fails only if the run already finished, which the stdout check
+	// below reports.
+	_ = cmd.Process.Kill()
+	<-done
+	if killedOut.Len() > 0 {
+		t.Fatalf("the kill landed after the run finished; stdout:\n%s", killedOut.String())
+	}
+
+	code, got, stderr := run(t, "nmdetect", append(args, "-resume")...)
+	if code != 0 {
+		t.Fatalf("resumed run: exit %d; stderr:\n%s", code, stderr)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("resumed log differs from the uninterrupted run's:\n%s\nvs\n%s", got, want)
 	}
 }
 

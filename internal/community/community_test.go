@@ -289,8 +289,8 @@ func TestMonitorDayEndToEnd(t *testing.T) {
 	if len(res.PredictedPrice) != 24 {
 		t.Fatal("predicted price missing")
 	}
-	if res.Trace == nil {
-		t.Fatal("trace missing")
+	if len(res.Load) != 24 || len(res.TrueHacked) != 24 {
+		t.Fatal("per-slot load or hacked count missing")
 	}
 	// With certain growth and enforcement, at least one inspection fires.
 	sawInspect := false
@@ -302,9 +302,9 @@ func TestMonitorDayEndToEnd(t *testing.T) {
 	if !sawInspect {
 		t.Log("no inspection fired (acceptable for small community, but suspicious)")
 	}
-	// True buckets must mirror the trace's hacked counts.
+	// True buckets must mirror the true hacked counts.
 	for h := 0; h < 24; h++ {
-		if res.TrueBucket[h] != params.Buckets.Bucket(res.Trace.TrueHacked[h]) {
+		if res.TrueBucket[h] != params.Buckets.Bucket(res.TrueHacked[h]) {
 			t.Fatalf("true bucket mismatch at slot %d", h)
 		}
 	}

@@ -242,7 +242,11 @@ func (e *Engine) LearnBaselines(ctx context.Context, days int, kits ...*Detector
 	return nil
 }
 
-// MonitorDayResult is the outcome of one monitored day.
+// MonitorDayResult is the stored outcome of one monitored day: the
+// detector's per-slot outputs plus the two per-slot aggregates of the day's
+// trace that readers use. No field grows with the number of meters, so a day
+// costs the same to keep, checkpoint and serve at any community size; the
+// per-meter flows live only in SimulateDay's DayTrace while the day runs.
 type MonitorDayResult struct {
 	// PredictedPrice is the kit's price prediction for the day.
 	PredictedPrice timeseries.Series
@@ -260,8 +264,10 @@ type MonitorDayResult struct {
 	TrueBucket []int
 	// Actions[h] is the POMDP action taken after slot h.
 	Actions []int
-	// Trace is the underlying day trace.
-	Trace *DayTrace
+	// Load is the realized community consumption Σlₙ per slot.
+	Load timeseries.Series
+	// TrueHacked[h] is the number of compromised meters during slot h.
+	TrueHacked []int
 	// ImputedReadings counts meter-slots whose reading was missing (AMI
 	// dropout or rejected corruption) and reconstructed from history.
 	ImputedReadings int
@@ -355,7 +361,7 @@ func (e *Engine) MonitorDay(ctx context.Context, kit *DetectorKit, camp *attack.
 	if err != nil {
 		return nil, err
 	}
-	res.Trace = trace
+	res.Load, res.TrueHacked = trace.Load, trace.TrueHacked
 	res.Confidence = 1 - float64(res.ImputedReadings)/float64(e.cfg.N*24)
 	res.Degraded = res.ImputedReadings > 0 || (env.Faults != nil && env.Faults.StalePrice)
 	if sink != nil {

@@ -341,7 +341,7 @@ func RawObservationAccuracy(results []*community.MonitorDayResult) float64 {
 func RealizedPAR(results []*community.MonitorDayResult) float64 {
 	var load timeseries.Series
 	for _, r := range results {
-		load = append(load, r.Trace.Load...)
+		load = append(load, r.Load...)
 	}
 	return load.PAR()
 }
@@ -380,7 +380,7 @@ func DetectionDelays(results []*community.MonitorDayResult) (delays []int, mean 
 	}
 	for _, r := range results {
 		for h := range r.Actions {
-			hacked := r.Trace.TrueHacked[h] > 0
+			hacked := r.TrueHacked[h] > 0
 			switch {
 			case hacked && !inEpisode:
 				inEpisode, answered, start = true, false, slot

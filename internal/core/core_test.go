@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"math"
 	"testing"
 
@@ -139,6 +141,39 @@ func TestPBVISolverWorks(t *testing.T) {
 	}
 }
 
+// TestStoredDayDoesNotGrowWithMeters pins that the record a Runner keeps,
+// checkpoints and serves for one day holds no per-meter field: one stepped
+// day gob-encodes to about the same size at 8 and at 24 meters.
+func TestStoredDayDoesNotGrowWithMeters(t *testing.T) {
+	size := func(n int) int {
+		sys, err := NewSystem(context.Background(), smallOptions(n, 48))
+		if err != nil {
+			t.Fatal(err)
+		}
+		camp, err := sys.NewCampaign()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := sys.NewRunner(sys.Aware, camp, true, "", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.StepDay(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(r.Results()[0]); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Len()
+	}
+	small, large := size(8), size(24)
+	t.Logf("a stored day is %d B at 8 meters and %d B at 24", small, large)
+	if d := large - small; d > 1024 || d < -1024 {
+		t.Fatal("the stored day grows with the number of meters")
+	}
+}
+
 func TestMetricHelpersOnSyntheticResults(t *testing.T) {
 	mk := func(obs, truth []int, actions []int, demand []float64) *community.MonitorDayResult {
 		return &community.MonitorDayResult{
@@ -146,7 +181,7 @@ func TestMetricHelpersOnSyntheticResults(t *testing.T) {
 			BeliefBucket: obs,
 			TrueBucket:   truth,
 			Actions:      actions,
-			Trace:        &community.DayTrace{Load: demand, GridDemand: demand},
+			Load:         demand,
 		}
 	}
 	results := []*community.MonitorDayResult{
@@ -171,8 +206,8 @@ func TestMetricHelpersOnSyntheticResults(t *testing.T) {
 func TestDetectionDelays(t *testing.T) {
 	mk := func(hacked []int, actions []int) *community.MonitorDayResult {
 		return &community.MonitorDayResult{
-			Actions: actions,
-			Trace:   &community.DayTrace{TrueHacked: hacked},
+			Actions:    actions,
+			TrueHacked: hacked,
 		}
 	}
 	cont, insp := detect.ActionContinue, detect.ActionInspect

@@ -53,6 +53,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nmdetect/internal/checkpoint"
 	"nmdetect/internal/cli"
 	"nmdetect/internal/core"
 	"nmdetect/internal/detect"
@@ -111,6 +112,13 @@ func realMain(ctx context.Context) error {
 	}
 	if err := ck.Guard(); err != nil {
 		return err
+	}
+	// A stale or foreign checkpoint is refused before the offline phase, not
+	// after bootstrap, training, calibration and the policy solve.
+	if ck.Resume && checkpoint.Exists(ck.Path) {
+		if err := checkpoint.Check(ck.Path, core.MonitorKind); err != nil {
+			return err
+		}
 	}
 
 	fmt.Fprintln(os.Stderr, "nmdetect: building system (bootstrap + training + calibration)...")

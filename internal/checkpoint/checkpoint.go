@@ -112,6 +112,30 @@ func Load(path, kind string, state any) error {
 	}
 	defer f.Close()
 	dec := gob.NewDecoder(f)
+	if err := checkHeader(dec, path, kind); err != nil {
+		return err
+	}
+	if err := dec.Decode(state); err != nil {
+		return fmt.Errorf("checkpoint: %s: decode state: %w", path, err)
+	}
+	return nil
+}
+
+// Check verifies the magic, format version and payload kind of the
+// checkpoint at path without decoding its payload, so a command can refuse
+// an incompatible file before the work that precedes Load.
+func Check(path, kind string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	defer f.Close()
+	return checkHeader(gob.NewDecoder(f), path, kind)
+}
+
+// checkHeader decodes the header at the start of dec's stream and checks it
+// against this build's magic and format version and the wanted kind.
+func checkHeader(dec *gob.Decoder, path, kind string) error {
 	var h header
 	if err := dec.Decode(&h); err != nil {
 		return fmt.Errorf("checkpoint: %s: not a checkpoint file: %w (%w)", path, err, ErrIncompatible)
@@ -125,9 +149,6 @@ func Load(path, kind string, state any) error {
 	}
 	if h.Kind != kind {
 		return fmt.Errorf("checkpoint: %s: holds %q state, want %q: %w", path, h.Kind, kind, ErrIncompatible)
-	}
-	if err := dec.Decode(state); err != nil {
-		return fmt.Errorf("checkpoint: %s: decode state: %w", path, err)
 	}
 	return nil
 }

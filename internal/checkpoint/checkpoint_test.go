@@ -105,6 +105,55 @@ func TestLoadRejectsForeignFiles(t *testing.T) {
 	}
 }
 
+// TestCheckReadsOnlyTheHeader pins Check: it refuses what Load refuses for
+// its header, and accepts a file whose payload would not decode.
+func TestCheckReadsOnlyTheHeader(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.ckpt")
+	if err := Save(good, "test", &payload{Day: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := Check(good, "test"); err != nil {
+		t.Fatalf("well-formed file: %v", err)
+	}
+	if err := Check(good, "other"); !errors.Is(err, ErrIncompatible) {
+		t.Fatalf("wrong kind: got %v, want ErrIncompatible", err)
+	}
+
+	write := func(name string, h header, tail []byte) string {
+		path := filepath.Join(dir, name)
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewEncoder(f).Encode(h); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(tail); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	older := write("older.ckpt", header{Magic: magic, Version: Version - 1, Kind: "test"}, nil)
+	if err := Check(older, "test"); !errors.Is(err, ErrIncompatible) {
+		t.Fatalf("older version: got %v, want ErrIncompatible", err)
+	}
+	truncated := write("truncated.ckpt", header{Magic: magic, Version: Version, Kind: "test"}, []byte("x"))
+	if err := Check(truncated, "test"); err != nil {
+		t.Fatalf("header-only check decoded the payload: %v", err)
+	}
+	var out payload
+	if err := Load(truncated, "test", &out); err == nil {
+		t.Fatal("Load accepted an undecodable payload")
+	}
+	if err := Check(filepath.Join(dir, "missing.ckpt"), "test"); err == nil {
+		t.Fatal("missing file accepted")
+	}
+}
+
 func TestExists(t *testing.T) {
 	dir := t.TempDir()
 	if Exists(dir) {

@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"flag"
 	"fmt"
@@ -22,6 +23,8 @@ import (
 	"testing"
 	"time"
 
+	"nmdetect/internal/checkpoint"
+	"nmdetect/internal/core"
 	"nmdetect/internal/exitcode"
 	"nmdetect/internal/parallel"
 	"nmdetect/internal/scenario"
@@ -186,12 +189,24 @@ func writeFile(t *testing.T, dir, name, body string) string {
 
 // TestExitCodes pins the exit code of invocations that must fail. Every
 // validation failure (exit 2) happens before the command writes anything to
-// stdout, and before nmdetect starts its system build.
+// stdout, and every validation or resume-incompatible failure (exit 2 or 4)
+// before nmdetect starts its system build.
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	world := []string{"-n", "6", "-boot", "4", "-days", "1", "-sweeps", "2", "-solver", "qmdp"}
 	household := filepath.Join("..", "..", "cmd", "nmsched", "example-spec.json")
 	stale := writeFile(t, dir, "stale.ckpt", "x")
+
+	// A monitor checkpoint of the previous format version, header only.
+	var older bytes.Buffer
+	if err := gob.NewEncoder(&older).Encode(struct {
+		Magic   string
+		Version int
+		Kind    string
+	}{"NMCKPT", checkpoint.Version - 1, core.MonitorKind}); err != nil {
+		t.Fatal(err)
+	}
+	olderCkpt := writeFile(t, dir, "older.ckpt", older.String())
 
 	var prices strings.Builder
 	for h := 0; h < 24; h++ {
@@ -234,6 +249,7 @@ func TestExitCodes(t *testing.T) {
 		{"nmdetect unknown detector", "nmdetect", append(world, "-detector", "bogus"), 2},
 		{"nmdetect resume without checkpoint", "nmdetect", append(world, "-resume"), 2},
 		{"nmdetect existing checkpoint without resume", "nmdetect", append(world, "-checkpoint", stale), 2},
+		{"nmdetect resume of an older checkpoint version", "nmdetect", append(world, "-checkpoint", olderCkpt, "-resume"), 4},
 		{"nmattack bad attack", "nmattack", []string{"-attack", "bogus"}, 2},
 		{"nmattack inverted batch range", "nmattack", []string{"-batchlo", "30", "-batchhi", "5"}, 2},
 		{"nmattack event flush fails", "nmattack", []string{"-events", "/dev/full", "-hours", "1"}, 3},
@@ -259,8 +275,8 @@ func TestExitCodes(t *testing.T) {
 			if tc.want == 2 && len(stdout) > 0 {
 				t.Fatalf("%s %v: validation failure after writing stdout:\n%s", tc.cmd, tc.args, stdout)
 			}
-			if tc.want == 2 && strings.Contains(stderr, "building system") {
-				t.Fatalf("%s %v: validation failure reported only after the system build; stderr:\n%s", tc.cmd, tc.args, stderr)
+			if (tc.want == 2 || tc.want == 4) && strings.Contains(stderr, "building system") {
+				t.Fatalf("%s %v: exit %d reported only after the system build; stderr:\n%s", tc.cmd, tc.args, tc.want, stderr)
 			}
 		})
 	}

@@ -286,9 +286,6 @@ func TestMonitorDayEndToEnd(t *testing.T) {
 	if len(res.Flagged) != 24 || len(res.ObsBucket) != 24 || len(res.TrueBucket) != 24 || len(res.Actions) != 24 {
 		t.Fatal("result shapes wrong")
 	}
-	if len(res.PredictedPrice) != 24 {
-		t.Fatal("predicted price missing")
-	}
 	if len(res.Load) != 24 || len(res.TrueHacked) != 24 {
 		t.Fatal("per-slot load or hacked count missing")
 	}

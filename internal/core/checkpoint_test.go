@@ -13,9 +13,8 @@ import (
 	"nmdetect/internal/faultinject"
 )
 
-// encodeResults canonicalises a result slice for bitwise comparison. gob
-// preserves exact float bit patterns (including the NaN sentinels dropped
-// readings leave in the traces), which DeepEqual would reject.
+// encodeResults canonicalises a result slice for bitwise comparison: gob
+// preserves exact float bit patterns, so equal bytes mean equal bits.
 func encodeResults(t *testing.T, results []*community.MonitorDayResult) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -27,8 +26,9 @@ func encodeResults(t *testing.T, results []*community.MonitorDayResult) []byte {
 
 // The headline robustness guarantee: a 60-day monitoring run killed at day
 // 30 and resumed in a fresh process produces bit-for-bit the results of an
-// uninterrupted run. Faults are enabled so the checkpoint also carries NaN
-// readings, imputation state and the stale-broadcast chain.
+// uninterrupted run. Faults are enabled so the checkpoint also carries the
+// stale-broadcast chain and the days on both sides of the kill impute
+// dropped readings.
 func TestMonitorResumeMatchesUninterrupted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long determinism test")

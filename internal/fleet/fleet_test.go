@@ -32,7 +32,7 @@ func smallConfig(f, n int, seed uint64, days int) Config {
 }
 
 // encodeResults canonicalises result slices for bitwise comparison (gob
-// preserves exact float bit patterns, including NaN sentinels).
+// preserves exact float bit patterns).
 func encodeResults(t *testing.T, results []*community.MonitorDayResult) []byte {
 	t.Helper()
 	var buf bytes.Buffer

@@ -8,7 +8,7 @@
 //
 //   - the clean and attacked solve paths of one simulated day see identical
 //     faults,
-//   - calibration days that snapshot/restore the engine do not shift the
+//   - calibration days, which do not advance the engine, do not shift the
 //     plan, and
 //   - a checkpoint/resume replay regenerates the same faults bit for bit.
 //

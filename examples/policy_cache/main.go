@@ -26,7 +26,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	policy, err := pomdp.SolvePBVI(context.Background(), model, pomdp.DefaultPBVIOptions())
+	policy, err := pomdp.SolvePBVI(context.Background(), model)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -79,8 +79,6 @@ type Options struct {
 	CalibFrac float64
 	// Solver picks the POMDP policy solver.
 	Solver PolicySolver
-	// PBVI tunes the PBVI solver when selected.
-	PBVI pomdp.PBVIOptions
 }
 
 // DefaultOptions mirrors the paper's setup for a community of n meters.
@@ -103,7 +101,6 @@ func DefaultOptions(n int, seed uint64) Options {
 		BatchHi:   max(2, n/8),
 		CalibFrac: 0.4,
 		Solver:    SolverPBVI,
-		PBVI:      pomdp.DefaultPBVIOptions(),
 	}
 }
 
@@ -269,7 +266,7 @@ func (s *System) buildLongTerm(ctx context.Context, base detect.ModelParams, fp,
 	var policy pomdp.Policy
 	switch s.opts.Solver {
 	case SolverPBVI:
-		policy, err = pomdp.SolvePBVI(ctx, model, s.opts.PBVI)
+		policy, err = pomdp.SolvePBVI(ctx, model)
 	case SolverQMDP:
 		policy, err = pomdp.SolveQMDP(ctx, model, 1e-9, 5000)
 	case SolverThreshold:

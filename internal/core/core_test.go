@@ -126,8 +126,6 @@ func TestThresholdSolverWorks(t *testing.T) {
 func TestPBVISolverWorks(t *testing.T) {
 	opts := smallOptions(12, 46)
 	opts.Solver = SolverPBVI
-	opts.PBVI.NumBeliefs = 40
-	opts.PBVI.Iterations = 25
 	sys, err := NewSystem(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)

@@ -67,7 +67,7 @@ func TestFiniteHorizonUpperBoundsPBVIValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pbvi, err := SolvePBVI(context.Background(), m, DefaultPBVIOptions())
+	pbvi, err := SolvePBVI(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 
 func TestPBVIPolicyRoundTrip(t *testing.T) {
 	m := tiger()
-	pol, err := SolvePBVI(context.Background(), m, DefaultPBVIOptions())
+	pol, err := SolvePBVI(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}

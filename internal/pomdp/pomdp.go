@@ -54,12 +54,14 @@ func NewModel(states, actions, obs int, discount float64) *Model {
 	return m
 }
 
-// Validate checks dimensions and that all probability rows are stochastic.
+// Validate checks dimensions, that all probability rows are stochastic and
+// that every reward is finite.
 func (m *Model) Validate() error {
 	if m.NumStates <= 0 || m.NumActions <= 0 || m.NumObs <= 0 {
 		return fmt.Errorf("pomdp: empty space (S=%d, A=%d, O=%d)", m.NumStates, m.NumActions, m.NumObs)
 	}
-	if m.Discount < 0 || m.Discount >= 1 {
+	// NaN fails every ordered comparison, so it needs its own check.
+	if math.IsNaN(m.Discount) || m.Discount < 0 || m.Discount >= 1 {
 		return fmt.Errorf("pomdp: discount %v out of [0,1)", m.Discount)
 	}
 	if len(m.T) != m.NumActions || len(m.Z) != m.NumActions || len(m.R) != m.NumActions {
@@ -68,6 +70,11 @@ func (m *Model) Validate() error {
 	for a := 0; a < m.NumActions; a++ {
 		if len(m.T[a]) != m.NumStates || len(m.Z[a]) != m.NumStates || len(m.R[a]) != m.NumStates {
 			return fmt.Errorf("pomdp: state dimension mismatch for action %d", a)
+		}
+		for s, r := range m.R[a] {
+			if !finite(r) {
+				return fmt.Errorf("pomdp: R[%d][%d] = %v is not finite", a, s, r)
+			}
 		}
 		for s := 0; s < m.NumStates; s++ {
 			if err := checkStochastic(m.T[a][s], m.NumStates, fmt.Sprintf("T[%d][%d]", a, s)); err != nil {
@@ -87,6 +94,9 @@ func checkStochastic(row []float64, n int, name string) error {
 	}
 	sum := 0.0
 	for _, p := range row {
+		if !finite(p) {
+			return fmt.Errorf("pomdp: %s has non-finite probability %v", name, p)
+		}
 		if p < -1e-12 {
 			return fmt.Errorf("pomdp: %s has negative probability %v", name, p)
 		}
@@ -97,6 +107,8 @@ func checkStochastic(row []float64, n int, name string) error {
 	}
 	return nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Belief is a probability distribution over states.
 type Belief []float64

@@ -11,11 +11,12 @@
 //
 // Detection calls this layer repeatedly with identical inputs (predicted
 // price vs received price, every slot of a monitoring window), so results are
-// memoized on a content hash of the price vector.
+// memoized on the exact bits of the price vector.
 package loadpred
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -62,7 +63,7 @@ func New(customers []*household.Customer, cfg game.Config, pv [][]float64, seed 
 // context cancels the underlying solve (see game.Solve); a cancelled solve is
 // not cached.
 func (p *Predictor) Predict(ctx context.Context, price timeseries.Series) (*game.Result, error) {
-	key := hashSeries(price)
+	key := priceKey(price)
 	if res, ok := p.cache[key]; ok {
 		return res, nil
 	}
@@ -106,16 +107,12 @@ func LoadOfRecord(res *game.Result, netMetering bool) timeseries.Series {
 	return res.Load.Clone()
 }
 
-// hashSeries produces a content key for memoization (FNV-1a over the raw
-// float bits).
-func hashSeries(s timeseries.Series) string {
-	var h uint64 = 0xcbf29ce484222325
+// priceKey is the memo key of a price: the bits of every value, so two
+// prices share a solution only when they are bit-for-bit the same.
+func priceKey(s timeseries.Series) string {
+	b := make([]byte, 0, 8*len(s))
 	for _, v := range s {
-		bits := math.Float64bits(v)
-		for i := 0; i < 8; i++ {
-			h ^= (bits >> (8 * i)) & 0xff
-			h *= 0x100000001b3
-		}
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
-	return fmt.Sprintf("%016x-%d", h, len(s))
+	return string(b)
 }

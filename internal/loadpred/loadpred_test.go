@@ -2,6 +2,7 @@ package loadpred
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"nmdetect/internal/game"
@@ -173,18 +174,26 @@ func TestPredictPARMatchesLoad(t *testing.T) {
 	}
 }
 
-func TestHashSeriesDistinguishes(t *testing.T) {
-	a := timeseries.Series{1, 2, 3}
-	b := timeseries.Series{1, 2, 3.0000001}
-	if hashSeries(a) == hashSeries(b) {
-		t.Fatal("hash collision on different series")
+func TestPriceKeyDistinguishes(t *testing.T) {
+	nan1, nan2 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)
+	for _, tc := range []struct {
+		name string
+		a, b timeseries.Series
+	}{
+		{"different values", timeseries.Series{1, 2, 3}, timeseries.Series{1, 2, 3.0000001}},
+		{"length", timeseries.Series{}, timeseries.Series{0}},
+		{"+0 and -0", timeseries.Series{0}, timeseries.Series{math.Copysign(0, -1)}},
+		{"NaN payloads", timeseries.Series{nan1}, timeseries.Series{nan2}},
+		{"one-ULP neighbours", timeseries.Series{0.1}, timeseries.Series{math.Nextafter(0.1, 1)}},
+	} {
+		if priceKey(tc.a) == priceKey(tc.b) {
+			t.Errorf("%s: %v and %v share a key", tc.name, tc.a, tc.b)
+		}
 	}
-	if hashSeries(a) != hashSeries(a.Clone()) {
-		t.Fatal("hash differs for equal series")
-	}
-	// Length must be part of the key.
-	if hashSeries(timeseries.Series{}) == hashSeries(timeseries.Series{0}) {
-		t.Fatal("hash ignores length")
+	for _, s := range []timeseries.Series{{1, 2, 3}, {nan1, 0}, {}} {
+		if priceKey(s) != priceKey(s.Clone()) {
+			t.Errorf("equal series %v get different keys", s)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package parallel is the engine-wide bounded worker pool behind every
 // concurrent code path of the simulator: the game solver's block-Jacobi
-// sweeps, the community engine's clean/attacked solve pair and per-customer
-// PV generation, and the cross-entropy optimizer's candidate evaluation.
+// sweeps and shards, the community engine's clean/attacked solve pair and
+// per-customer PV generation, and the fleet and supervisor fan-outs.
 //
 // Two rules keep the concurrency layer compatible with the repository's
 // determinism contract (DESIGN.md "Parallel execution & determinism"):
@@ -11,8 +11,8 @@
 //     rng.Sources derived per index — so the assignment of items to
 //     goroutines can never influence a result bit.
 //  2. The pool is bounded globally, not per call site. Nested parallelism
-//     (a parallel engine step launching a parallel game solve launching a
-//     parallel CE evaluation) cannot oversubscribe the machine or deadlock:
+//     (a parallel engine step launching a parallel game solve launching
+//     parallel shards) cannot oversubscribe the machine or deadlock:
 //     helper goroutines are admitted by a token bucket sized to
 //     runtime.NumCPU() by default, and every ForEach caller also executes
 //     work on its own goroutine, guaranteeing progress even when the bucket
